@@ -9,7 +9,6 @@ from .bootstrap import (
     BootstrapConfig,
     ConfidenceInterval,
     bootstrap_ci,
-    iid_resample,
     moving_block_resample,
     percentile_of_replicates,
     replicate_values,
@@ -33,20 +32,18 @@ from .gof import (
     ScalingRow,
     compare_families,
     fit_report,
-    goodness_of_fit,
     powerlaw_fit,
     scaling_experiment,
     simulate_experiment,
     support_problem,
 )
-from .seeds import derive_rng, derive_seed
+from .seeds import derive_seed
 from .survival import (
     DEFAULT_BINS,
     SortedSample,
     StepSurvival,
     empirical_survival,
     km_binned_survival,
-    mixture_survival,
     survival_entropy,
 )
 
@@ -69,7 +66,6 @@ __all__ = [
     "bootstrap_ci",
     "compare_families",
     "density",
-    "derive_rng",
     "derive_seed",
     "empirical_survival",
     "esjs",
@@ -78,12 +74,9 @@ __all__ = [
     "esjs_spacings",
     "fit_mle",
     "fit_report",
-    "goodness_of_fit",
-    "iid_resample",
     "km_binned_survival",
     "log_likelihood",
     "log_likelihood_gradient",
-    "mixture_survival",
     "moving_block_resample",
     "percentile_of_replicates",
     "powerlaw_fit",

@@ -19,7 +19,6 @@ from .survival import SortedSample
 __all__ = [
     "BootstrapConfig",
     "ConfidenceInterval",
-    "iid_resample",
     "moving_block_resample",
     "percentile_of_replicates",
     "replicate_values",
@@ -67,13 +66,6 @@ class ConfidenceInterval:
     def __post_init__(self):
         if self.lb > self.ub:
             raise ValueError("interval bounds out of order")
-
-
-def iid_resample(sample: SortedSample, seed: int) -> SortedSample:
-    """Draw ``n`` observations with replacement; deterministic given seed."""
-    rng = np.random.default_rng(int(seed))
-    idx = rng.integers(0, sample.n, sample.n)
-    return SortedSample(np.sort(sample.values[idx]))
 
 
 def moving_block_resample(series, block_length: int, seed: int) -> np.ndarray:

@@ -20,17 +20,17 @@ import numpy as np
 
 from .bootstrap import BootstrapConfig
 from .distributions import ConvergenceError, Family, ParametricModel, SupportError
-from .divergence import esjs, esjs_distance
 from .gof import (
     ExperimentReport,
     FitReport,
+    _esjs_between,
     compare_families,
     fit_report,
     powerlaw_fit,
     scaling_experiment,
     simulate_experiment,
 )
-from .survival import DEFAULT_BINS, SortedSample, empirical_survival, km_binned_survival
+from .survival import DEFAULT_BINS, SortedSample
 
 __all__ = ["CsvError", "read_csv_column", "ingest_csv", "run", "entrypoint"]
 
@@ -406,20 +406,12 @@ def _run_simulate(args) -> dict:
 
 
 def _run_divergence(args) -> dict:
-    p_data = ingest_csv(args.input_p, args.column)
-    q_data = ingest_csv(args.input_q, args.column)
     bins = None if args.raw else args.bins
-    if bins is None:
-        p_surv, q_surv = empirical_survival(p_data), empirical_survival(q_data)
-    else:
-        lo = min(p_data.min, q_data.min)
-        hi = max(p_data.max, q_data.max)
-        if lo < hi:
-            p_surv = km_binned_survival(p_data, bins, (lo, hi))
-            q_surv = km_binned_survival(q_data, bins, (lo, hi))
-        else:
-            p_surv, q_surv = empirical_survival(p_data), empirical_survival(q_data)
-    value = esjs(p_surv, q_surv)
+    value = _esjs_between(
+        read_csv_column(args.input_p, args.column),
+        read_csv_column(args.input_q, args.column),
+        bins,
+    )
     spec = {
         "subcommand": "divergence",
         "input_p": args.input_p,
@@ -428,7 +420,7 @@ def _run_divergence(args) -> dict:
         "bins": bins,
         "format": args.format,
     }
-    return {"spec": spec, "esjs": value, "distance": esjs_distance(p_surv, q_surv)}
+    return {"spec": spec, "esjs": value, "distance": math.sqrt(value)}
 
 
 def _run_scaling(args) -> dict:
@@ -516,10 +508,7 @@ def run(argv=None) -> int:
     except (CsvError, SupportError) as exc:
         print(f"esjs: data error: {exc}", file=sys.stderr)
         return 2
-    except ConvergenceError as exc:
-        print(f"esjs: numerical failure: {exc}", file=sys.stderr)
-        return 3
-    except np.linalg.LinAlgError as exc:
+    except (ConvergenceError, ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"esjs: numerical failure: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

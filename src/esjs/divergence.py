@@ -38,16 +38,6 @@ def _integrand(pv: np.ndarray, qv: np.ndarray) -> np.ndarray:
     return 0.5 * (tp + tq)
 
 
-def _union_grid(p: StepSurvival, q: StepSurvival) -> np.ndarray:
-    if p.breakpoints is q.breakpoints:
-        return p.breakpoints
-    if p.breakpoints.size == q.breakpoints.size and np.array_equal(
-        p.breakpoints, q.breakpoints
-    ):
-        return p.breakpoints
-    return np.union1d(p.breakpoints, q.breakpoints)
-
-
 def esjs(p: StepSurvival, q: StepSurvival) -> float:
     """Exact divergence between two step survival functions.
 
@@ -56,11 +46,8 @@ def esjs(p: StepSurvival, q: StepSurvival) -> float:
     nonzero on an unbounded tail (cannot happen for survivals built from
     samples, whose heads are 1 and tails 0).
     """
-    grid = _union_grid(p, q)
-    if grid is p.breakpoints:
-        pv, qv = p.values, q.values
-    else:
-        pv, qv = p(grid), q(grid)
+    grid = np.union1d(p.breakpoints, q.breakpoints)
+    pv, qv = p(grid), q(grid)
     head = float(_integrand(np.array([p.head_value]), np.array([q.head_value]))[0])
     tail = float(_integrand(pv[-1:], qv[-1:])[0])
     if head != 0.0 or tail != 0.0:

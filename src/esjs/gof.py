@@ -23,7 +23,6 @@ __all__ = [
     "FitReport",
     "ExperimentReport",
     "ScalingRow",
-    "goodness_of_fit",
     "support_problem",
     "fit_report",
     "compare_families",
@@ -80,37 +79,16 @@ def support_problem(family: Family, sample: SortedSample) -> str | None:
     return None
 
 
-def _survival_pair(model_values: np.ndarray, data_values: np.ndarray, bins: int | None):
-    p = SortedSample(np.sort(model_values))
-    q = SortedSample(np.sort(data_values))
-    if bins is None:
-        return empirical_survival(p), empirical_survival(q)
+def _esjs_between(p_values: np.ndarray, q_values: np.ndarray, bins: int | None) -> float:
+    """Divergence of two samples: raw, or binned on the grid spanning both."""
+    p = SortedSample(np.sort(p_values))
+    q = SortedSample(np.sort(q_values))
     lo = min(p.min, q.min)
     hi = max(p.max, q.max)
-    if not lo < hi:
-        # all observations identical in both samples: survivals coincide
-        return empirical_survival(p), empirical_survival(q)
-    return (
-        km_binned_survival(p, bins, (lo, hi)),
-        km_binned_survival(q, bins, (lo, hi)),
-    )
-
-
-def _esjs_between(model_values: np.ndarray, data_values: np.ndarray, bins: int | None) -> float:
-    p, q = _survival_pair(model_values, data_values, bins)
-    return esjs(p, q)
-
-
-def goodness_of_fit(
-    model: ParametricModel,
-    data: SortedSample,
-    model_sample_size: int | None = None,
-    seed: int = 0,
-) -> float:
-    """Divergence between a sample drawn from ``model`` and ``data``."""
-    size = data.n if model_sample_size is None else model_sample_size
-    model_sample = sample_from(model, size, seed)
-    return esjs(empirical_survival(model_sample), empirical_survival(data))
+    if bins is None or not lo < hi:
+        # unbinned, or all observations identical in both samples
+        return esjs(empirical_survival(p), empirical_survival(q))
+    return esjs(km_binned_survival(p, bins, (lo, hi)), km_binned_survival(q, bins, (lo, hi)))
 
 
 def fit_report(

@@ -12,7 +12,7 @@ import zlib
 
 import numpy as np
 
-__all__ = ["derive_seed", "derive_rng"]
+__all__ = ["derive_seed"]
 
 
 def _entropy_word(label) -> int:
@@ -28,7 +28,3 @@ def derive_seed(root: int, *labels) -> int:
     entropy = [int(root)] + [_entropy_word(lab) for lab in labels]
     return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
 
-
-def derive_rng(root: int, *labels) -> np.random.Generator:
-    """Generator seeded by :func:`derive_seed`."""
-    return np.random.default_rng(derive_seed(root, *labels))

@@ -1,14 +1,17 @@
-"""Empirical survival functions, binned estimation, mixtures, and survival entropy.
+"""Empirical survival functions, binned estimation, and survival entropy.
 
 A survival function S(x) = P(X > x) is the complement of the CDF.  The
 empirical survival function of a sample of size n drops by 1/n at every
 observation (tied observations drop jointly) and is represented here as an
 explicit step function, so that integrals of piecewise-constant integrands
-can be evaluated exactly as finite sums.
+can be evaluated exactly as finite sums.  The binned survival is the
+empirical survival of the sample snapped up to the edges of an equal-width
+grid, so it steps only at occupied edges.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +22,6 @@ __all__ = [
     "StepSurvival",
     "empirical_survival",
     "km_binned_survival",
-    "mixture_survival",
     "survival_entropy",
 ]
 
@@ -144,26 +146,35 @@ def km_binned_survival(
     """Empirical survival sampled at the right edges of an equal-width grid.
 
     With fully observed data this is the (uncensored) Kaplan-Meier step
-    estimate on the grid.  ``bounds`` defaults to the sample range.
+    estimate on the grid.  ``bounds`` defaults to the sample range.  The
+    edges are ``np.linspace(lo, hi, bins + 1)[1:]``; each observation up to
+    ``hi`` is snapped up to the first edge at or above it, and only the
+    occupied edges become breakpoints, so the result has at most
+    ``min(n, bins)`` steps and costs O(n) beyond the grid itself.
+    Observations above ``hi`` stay in the tail value.
     """
     if bins < 1:
         raise ValueError("bins must be >= 1")
     lo, hi = bounds if bounds is not None else (sample.min, sample.max)
     if not lo < hi:
         raise ValueError(f"invalid range: need lo < hi, got ({lo}, {hi})")
-    edges = np.linspace(lo, hi, bins + 1)[1:]
-    above = sample.n - np.searchsorted(sample.values, edges, side="right")
-    return StepSurvival(edges, above / sample.n, 1.0)
-
-
-def mixture_survival(p: StepSurvival, q: StepSurvival) -> StepSurvival:
-    """Equal-weight mixture M(x) = (P(x) + Q(x)) / 2."""
-    grid = np.union1d(p.breakpoints, q.breakpoints)
-    return StepSurvival(
-        grid,
-        0.5 * (p(grid) + q(grid)),
-        0.5 * (p.head_value + q.head_value),
-    )
+    step = (hi - lo) / bins
+    if not 0.0 < step < math.inf:
+        raise ValueError(f"cannot split ({lo}, {hi}) into {bins} float64 bins")
+    edges = np.linspace(lo, hi, bins + 1)
+    n = sample.n
+    x = sample.values[: np.searchsorted(sample.values, hi, side="right")]
+    if x.size == 0:
+        # every observation lies above hi: S is 1 on the whole grid
+        return StepSurvival(edges[-1:], np.ones(1), 1.0)
+    # index of the first edge at or above x; the arithmetic guess can be one
+    # edge off, because the edges carry linspace's rounding
+    k = np.clip(np.ceil((x - lo) / step), 1, bins).astype(np.intp)
+    k += edges[k] < x
+    k -= (k > 1) & (edges[k - 1] >= x)
+    # x is sorted, so each occupied edge ends a run of equal k
+    ends = np.append(np.flatnonzero(k[1:] != k[:-1]), x.size - 1)
+    return StepSurvival(edges[k[ends]], (n - 1 - ends) / n, 1.0)
 
 
 def survival_entropy(sample: SortedSample) -> float:

@@ -1,6 +1,18 @@
 import numpy as np
+from hypothesis import HealthCheck, settings
 
 from esjs import Family, ParametricModel, SortedSample, sample_from
+
+# property tests draw the same examples on every run, keep no database, and
+# apply no check that depends on how fast the machine is
+settings.register_profile(
+    "deterministic",
+    derandomize=True,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+settings.load_profile("deterministic")
 
 # families with unbounded-ish support mix poorly with bounded ones for
 # divergence tests, so keep a spread of shapes and scales
@@ -50,3 +62,15 @@ def segment_esjs_oracle(p, q) -> float:
             term += qv * np.log(qv / m)
         total += (right - left) * 0.5 * term
     return total
+
+
+def full_grid_binned_survival(sample, bins, bounds=None):
+    """Independent oracle: the survival at every right edge of the grid.
+
+    Returns ``(edges, values)`` with ``values[k] = #{x > edges[k]} / n`` on
+    all ``bins`` edges of ``np.linspace(lo, hi, bins + 1)[1:]``.
+    """
+    lo, hi = bounds if bounds is not None else (sample.min, sample.max)
+    edges = np.linspace(lo, hi, bins + 1)[1:]
+    above = sample.n - np.searchsorted(sample.values, edges, side="right")
+    return edges, above / sample.n

@@ -3,32 +3,11 @@ import pytest
 
 from esjs import (
     BootstrapConfig,
-    SortedSample,
     bootstrap_ci,
-    iid_resample,
     moving_block_resample,
     percentile_of_replicates,
     replicate_values,
 )
-
-
-class TestIidResample:
-    def test_single_value_sample(self):
-        sample = SortedSample.from_data([3.0, 3.0, 3.0])
-        resampled = iid_resample(sample, 1)
-        np.testing.assert_array_equal(resampled.values, sample.values)
-
-    def test_values_come_from_original(self):
-        sample = SortedSample.from_data([1.0, 2.0, 5.0, 9.0])
-        resampled = iid_resample(sample, 7)
-        assert set(resampled.values) <= set(sample.values)
-        assert resampled.n == sample.n
-
-    def test_deterministic(self):
-        sample = SortedSample.from_data(np.arange(50.0))
-        a = iid_resample(sample, 123)
-        b = iid_resample(sample, 123)
-        np.testing.assert_array_equal(a.values, b.values)
 
 
 class TestMovingBlockResample:

@@ -1,10 +1,27 @@
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import esjs.gof
-from esjs import ConvergenceError, Family, ParametricModel, sample_from
+from esjs import (
+    ConvergenceError,
+    Family,
+    ParametricModel,
+    SortedSample,
+    esjs as esjs_score,
+    fit_mle,
+    km_binned_survival,
+    sample_from,
+)
 from esjs.cli import CsvError, ingest_csv, read_csv_column, run
 
 
@@ -12,6 +29,16 @@ def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return str(path)
+
+
+def run_process(*argv):
+    """The CLI in a fresh interpreter, as a user runs it."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(esjs.gof.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run(
+        [sys.executable, "-m", "esjs.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
 
 
 class TestIngestCsv:
@@ -192,6 +219,43 @@ class TestRunDivergence:
         report = json.loads(capsys.readouterr().out)
         assert report["esjs"] == pytest.approx(0.21576155433883565, abs=1e-12)
 
+    def test_all_tied_samples_are_zero(self, tmp_path, capsys):
+        p = write(tmp_path, "p.csv", "2.5\n2.5\n")
+        q = write(tmp_path, "q.csv", "2.5\n2.5\n2.5\n")
+        assert run(["divergence", "--input-p", p, "--input-q", q]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["esjs"] == 0.0
+
+    @settings(max_examples=30)
+    @given(
+        st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=40),
+        st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=40),
+        st.integers(1, 10**6),
+    )
+    def test_binned_matches_the_library(self, p_values, q_values, bins):
+        p, q = SortedSample.from_data(p_values), SortedSample.from_data(q_values)
+        lo, hi = min(p.min, q.min), max(p.max, q.max)
+        if lo < hi:
+            want = esjs_score(
+                km_binned_survival(p, bins, (lo, hi)), km_binned_survival(q, bins, (lo, hi))
+            )
+        else:
+            want = 0.0
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = []
+            for name, values in (("p.csv", p_values), ("q.csv", q_values)):
+                paths.append(os.path.join(tmp, name))
+                with open(paths[-1], "w", encoding="utf-8") as fh:
+                    fh.write("\n".join(map(repr, values)) + "\n")
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = run(["divergence", "--input-p", paths[0], "--input-q", paths[1],
+                            "--bins", str(bins)])
+        assert code == 0
+        report = json.loads(out.getvalue())
+        assert report["esjs"] == want
+        assert report["distance"] == np.sqrt(want)
+
 
 class TestRunFitAndCompare:
     def test_fit_row(self, tmp_path, capsys):
@@ -252,6 +316,29 @@ class TestRunFitAndCompare:
         ])
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
+
+
+class TestNumericalEdgeCases:
+    def test_gamma_on_values_near_the_underflow_limit(self, tmp_path):
+        # the scale score once divided by tau^2, which underflows to 0 here
+        path = write(tmp_path, "tiny.csv", "1e-300\n2e-300\n5e-300\n")
+        proc = run_process("fit", "--input", path, "--family", "gamma",
+                           "--bootstrap", "5", "--seed", "1")
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+        shape, scale = json.loads(proc.stdout)["rows"][0]["params"]
+        unit = fit_mle(Family.GAMMA, SortedSample.from_data([1.0, 2.0, 5.0]))
+        assert shape == pytest.approx(unit.params[0], rel=1e-12)
+        assert scale == pytest.approx(unit.params[1] * 1e-300, rel=1e-12)
+
+    def test_overflowing_model_sample_exit_3(self):
+        proc = run_process("simulate", "--given", "pareto:0.01", "--hypotheses", "pareto",
+                           "--n", "1000", "--bootstrap", "5", "--seed", "1")
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("esjs: numerical failure: pareto draws overflow")
+        assert proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr
 
 
 class TestRunScaling:

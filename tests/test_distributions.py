@@ -245,16 +245,25 @@ class TestFitIterative:
         assert log_likelihood(fitted, sample) >= log_likelihood(true_model, sample) - 1e-6 * n
 
     def test_convergence_verdict_does_not_depend_on_units(self):
-        # At n = 10^6 the scale score sum(x)/tau^2 - n k/tau cancels two terms
-        # near 2e10 and rounds to 0 or +-3.8e-6; the tolerance must apply to
-        # tau * score, which is the same in every unit of the data.
         given = ParametricModel(Family.BETA, (50.0, 50.0))
-        sample = sample_from(given, 10**6, derive_seed(1, "data"))
-        fitted = fit_mle(Family.GAMMA, sample)
-        for factor in (1e-3, 1e3):
-            rescaled = fit_mle(Family.GAMMA, SortedSample(sample.values * factor))
-            assert rescaled.params[0] == pytest.approx(fitted.params[0], rel=1e-9)
-            assert rescaled.params[1] == pytest.approx(fitted.params[1] * factor, rel=1e-9)
+        beta = sample_from(given, 10**6, derive_seed(1, "data"))
+        student = np.sort(np.random.default_rng(2).standard_t(3.0, 10**6))
+        cases = [
+            # At n = 10^6 the scale score (sum(x)/tau - n k)/tau cancels two
+            # terms near 1e8: it rounds to 0 at unit scale but to 3e-3 at
+            # x 1e-3.  The tolerance must apply to tau * score, which is the
+            # same in every unit of the data.
+            (Family.GAMMA, beta.values, (1e-3, 1e3)),
+            # The qgaussian search stops on the absolute score, which at x 1e-6
+            # is 1e6 times the unit-scale one; only the scaled check may judge.
+            (Family.Q_GAUSSIAN, student, (1e-6,)),
+        ]
+        for family, values, factors in cases:
+            fitted = fit_mle(family, SortedSample(values))
+            for factor in factors:
+                rescaled = fit_mle(family, SortedSample(values * factor))
+                assert rescaled.params[0] == pytest.approx(fitted.params[0], rel=1e-9)
+                assert rescaled.params[1] == pytest.approx(fitted.params[1] * factor, rel=1e-9)
 
     @pytest.mark.parametrize(
         "family, true_params",

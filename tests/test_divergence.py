@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from esjs import (
     SortedSample,
@@ -10,6 +12,7 @@ from esjs import (
     esjs_distance,
     esjs_factor,
     esjs_spacings,
+    km_binned_survival,
     survival_entropy,
 )
 
@@ -165,3 +168,35 @@ class TestAffineBehaviour:
                 empirical_survival(SortedSample(q_sample.values + 7.5)),
             )
             assert shifted == pytest.approx(base, rel=1e-9, abs=1e-13)
+
+
+@st.composite
+def equal_size_pairs(draw):
+    """Two samples of one size on a shared lattice, and a bin count."""
+    n = draw(st.integers(2, 300))
+    scale = 10.0 ** draw(st.integers(-200, 200))
+    offset = draw(st.sampled_from([0.0, 1.0, -7.0, 1e4]))
+    levels = draw(st.sampled_from([1, 3, 100, 2**20]))
+    units = st.lists(st.integers(-levels, levels), min_size=n, max_size=n)
+    p, q = ((np.array(draw(units)) / levels + offset) * scale for _ in range(2))
+    bins = draw(st.integers(1, 10 ** draw(st.integers(0, 6))))
+    return SortedSample.from_data(p), SortedSample.from_data(q), bins
+
+
+class TestBinnedIsSnappedRaw:
+    @given(equal_size_pairs())
+    def test_binned_esjs_is_spacings_of_snapped_samples(self, case):
+        # binning on the pooled grid = the raw divergence of both samples
+        # snapped up to the right edge of their bin
+        p, q, bins = case
+        lo, hi = min(p.min, q.min), max(p.max, q.max)
+        if not lo < hi:
+            return
+        got = esjs(km_binned_survival(p, bins, (lo, hi)), km_binned_survival(q, bins, (lo, hi)))
+        edges = np.linspace(lo, hi, bins + 1)[1:]
+
+        def snap(sample):
+            return SortedSample(edges[np.searchsorted(edges, sample.values)])
+
+        want = esjs_spacings(snap(p), snap(q))
+        assert abs(got - want) <= 1e-12 * abs(want) + np.finfo(float).eps * (hi - lo)

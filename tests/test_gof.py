@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-import esjs.gof
 from esjs import (
     BootstrapConfig,
     Family,
@@ -9,7 +8,6 @@ from esjs import (
     SortedSample,
     compare_families,
     fit_report,
-    goodness_of_fit,
     powerlaw_fit,
     sample_from,
     scaling_experiment,
@@ -18,27 +16,6 @@ from esjs import (
 )
 
 NORMAL01 = ParametricModel(Family.NORMAL, (0.0, 1.0))
-
-
-class TestGoodnessOfFit:
-    def test_zero_when_model_sample_equals_data(self, monkeypatch):
-        data = sample_from(NORMAL01, 500, 1)
-        monkeypatch.setattr(esjs.gof, "sample_from", lambda model, n, seed: data)
-        assert goodness_of_fit(NORMAL01, data, seed=9) == 0.0
-
-    def test_deterministic_given_seed(self):
-        data = sample_from(NORMAL01, 2_000, 3)
-        a = goodness_of_fit(NORMAL01, data, seed=42)
-        b = goodness_of_fit(NORMAL01, data, seed=42)
-        c = goodness_of_fit(NORMAL01, data, seed=43)
-        assert a == b
-        assert a != c
-
-    def test_own_family_beats_distant_family(self):
-        data = sample_from(NORMAL01, 20_000, 5)
-        near = goodness_of_fit(NORMAL01, data, seed=7)
-        far = goodness_of_fit(ParametricModel(Family.UNIFORM, (-4, 4)), data, seed=7)
-        assert near < far
 
 
 class TestSupportProblem:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from esjs import (
     DEFAULT_BINS,
@@ -11,12 +13,11 @@ from esjs import (
     StepSurvival,
     empirical_survival,
     km_binned_survival,
-    mixture_survival,
     sample_from,
     survival_entropy,
 )
 
-from conftest import random_sample, step_integral_of_neg_slogs
+from conftest import full_grid_binned_survival, random_sample, step_integral_of_neg_slogs
 
 
 class TestSortedSample:
@@ -80,6 +81,32 @@ class TestEmpiricalSurvival:
                 assert surv(x) + below == pytest.approx(1.0, abs=1e-12)
 
 
+@st.composite
+def binning_cases(draw):
+    """A sorted sample, a bin count and bounds, over 400 decades of scale.
+
+    Values lie on a lattice of ``levels`` units per ``scale`` (few levels
+    make ties) or on a grid edge or one ulp either side of it, where the
+    snap must pick the right edge.  Bounds are the sample range, or a
+    lattice pair that may be wider than the sample or cut it on either side.
+    """
+    scale = 10.0 ** draw(st.integers(-200, 200))
+    offset = draw(st.sampled_from([0.0, 1.0, -7.0, 1e4]))
+    levels = draw(st.sampled_from([1, 3, 100, 2**20]))
+    lattice = st.integers(-2 * levels, 2 * levels).map(lambda u: (u / levels + offset) * scale)
+    lo, hi = sorted(draw(st.tuples(lattice, lattice)))
+    bins = draw(st.integers(1, 10 ** draw(st.integers(0, 6))))
+    edges = np.linspace(lo, hi, bins + 1)
+    near_edge = st.tuples(st.integers(0, bins), st.sampled_from([-1, 0, 1])).map(
+        lambda jd: float(np.nextafter(edges[jd[0]], jd[1] * np.inf) if jd[1] else edges[jd[0]])
+    )
+    values = draw(st.lists(lattice | near_edge, min_size=1, max_size=300))
+    if draw(st.booleans()):
+        return SortedSample.from_data(values), bins, (lo, hi)
+    # default bounds: make (lo, hi) the sample range
+    return SortedSample.from_data(np.clip(values + [lo, hi], lo, hi)), bins, None
+
+
 class TestKmBinnedSurvival:
     def test_grid_aligned_with_jumps_matches_empirical(self):
         sample = SortedSample.from_data([1, 2, 3])
@@ -92,9 +119,10 @@ class TestKmBinnedSurvival:
         # hand evaluation of the survival on edges 1..10
         sample = SortedSample.from_data([0.0, 10.0])
         binned = km_binned_survival(sample, bins=10, bounds=(0.0, 10.0))
-        assert list(binned.breakpoints) == [float(k) for k in range(1, 11)]
-        assert list(binned.values[:-1]) == [0.5] * 9
-        assert binned.values[-1] == 0.0
+        assert [binned(float(k)) for k in range(1, 10)] == [0.5] * 9
+        assert binned(10.0) == 0.0
+        # only the edges the observations snap to are breakpoints
+        assert list(binned.breakpoints) == [1.0, 10.0]
 
     def test_default_bin_count(self):
         assert DEFAULT_BINS == 10**6
@@ -109,40 +137,27 @@ class TestKmBinnedSurvival:
             km_binned_survival(sample, bins=0)
         with pytest.raises(ValueError):
             km_binned_survival(sample, bins=4, bounds=(3.0, 3.0))
+        # bin width underflows to 0, or the range overflows float64
+        with pytest.raises(ValueError):
+            km_binned_survival(SortedSample.from_data([0.0, 5e-324]), bins=10**6)
+        with pytest.raises(ValueError):
+            km_binned_survival(sample, bins=10, bounds=(-1e308, 1e308))
 
-
-class TestMixtureSurvival:
-    def test_idempotent(self):
-        surv = empirical_survival(SortedSample.from_data([1, 2, 5]))
-        mix = mixture_survival(surv, surv)
-        grid = np.linspace(0, 6, 23)
-        np.testing.assert_allclose(mix(grid), surv(grid))
-
-    def test_two_singletons(self):
-        p = empirical_survival(SortedSample.from_data([1.0]))
-        q = empirical_survival(SortedSample.from_data([3.0]))
-        mix = mixture_survival(p, q)
-        assert mix(2.0) == 0.5
-
-    def test_unequal_sizes(self):
-        p = empirical_survival(SortedSample.from_data([1.0, 2.0]))
-        q = empirical_survival(SortedSample.from_data([1.5]))
-        mix = mixture_survival(p, q)
-        assert list(mix.breakpoints) == [1.0, 1.5, 2.0]
-        assert list(mix.values) == [0.75, 0.25, 0.0]
-
-    def test_symmetric_and_bounded(self):
-        rng = np.random.default_rng(17)
-        for _ in range(25):
-            p = empirical_survival(random_sample(rng))
-            q = empirical_survival(random_sample(rng))
-            ab = mixture_survival(p, q)
-            ba = mixture_survival(q, p)
-            grid = np.union1d(ab.breakpoints, ba.breakpoints)
-            np.testing.assert_array_equal(ab(grid), ba(grid))
-            lo = np.minimum(p(grid), q(grid))
-            hi = np.maximum(p(grid), q(grid))
-            assert np.all(ab(grid) >= lo) and np.all(ab(grid) <= hi)
+    @given(binning_cases())
+    def test_equals_the_full_grid_at_every_edge(self, case):
+        sample, bins, bounds = case
+        lo, hi = bounds if bounds is not None else (sample.min, sample.max)
+        if not lo < hi:
+            with pytest.raises(ValueError):
+                km_binned_survival(sample, bins, bounds)
+            return
+        edges, want = full_grid_binned_survival(sample, bins, bounds)
+        if not np.all(np.diff(edges) > 0):
+            return  # the full grid is not a valid step function either
+        binned = km_binned_survival(sample, bins, bounds)
+        assert binned.breakpoints.size <= min(sample.n, bins)
+        np.testing.assert_array_equal(binned(edges), want)
+        assert binned(np.nextafter(edges[0], -np.inf)) == 1.0
 
 
 class TestSurvivalEntropy:
