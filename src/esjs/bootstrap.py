@@ -68,13 +68,21 @@ class ConfidenceInterval:
             raise ValueError("interval bounds out of order")
 
 
+def _as_component(values) -> np.ndarray:
+    # integer arrays (say, positions to index with) keep their dtype;
+    # everything else is read as float64
+    arr = np.asarray(values).ravel()
+    return arr if arr.dtype.kind in "iu" else arr.astype(np.float64, copy=False)
+
+
 def moving_block_resample(series, block_length: int, seed: int) -> np.ndarray:
     """Concatenate uniformly chosen contiguous blocks, truncated to length n.
 
     Block starts may overlap; within-block ordering is preserved.  With
     ``block_length == n`` the only possible block is the whole series.
+    Integer series keep their dtype; others are resampled as float64.
     """
-    arr = np.asarray(series, dtype=np.float64).ravel()
+    arr = _as_component(series)
     n = arr.size
     if n == 0:
         raise ValueError("empty series")
@@ -107,7 +115,7 @@ def _components(data) -> tuple[np.ndarray, ...]:
         if isinstance(part, SortedSample):
             out.append(part.values)
         else:
-            arr = np.asarray(part, dtype=np.float64).ravel()
+            arr = _as_component(part)
             if arr.size == 0:
                 raise ValueError("empty data component")
             out.append(arr)
@@ -119,7 +127,8 @@ def replicate_values(statistic, data, config: BootstrapConfig, workers: int = 1)
 
     ``data`` is one array-like (or SortedSample) or a tuple of them; each
     component is resampled independently per replicate with seed derived
-    from ``(config.seed, replicate index, component index)``.
+    from ``(config.seed, replicate index, component index)``.  Integer
+    components keep their dtype, so a statistic can take positions.
     """
     comps = _components(data)
 

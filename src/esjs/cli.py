@@ -408,9 +408,7 @@ def _run_simulate(args) -> dict:
 def _run_divergence(args) -> dict:
     bins = None if args.raw else args.bins
     value = _esjs_between(
-        read_csv_column(args.input_p, args.column),
-        read_csv_column(args.input_q, args.column),
-        bins,
+        ingest_csv(args.input_p, args.column), ingest_csv(args.input_q, args.column), bins
     )
     spec = {
         "subcommand": "divergence",

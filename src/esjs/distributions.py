@@ -604,6 +604,11 @@ def _qgaussian_starts(x: np.ndarray) -> list[tuple[float, float]]:
     starts = []
     m2 = float(np.mean(x * x))
     m4 = float(np.mean(x**4))
+    if m2 * m2 == 0.0:
+        # the moments underflow (say [0, 0, 0, 1e-300]); every start is
+        # scale-equivariant, so take them on the data rescaled to max |x| = 1
+        scale = float(np.max(np.abs(x)))
+        return [(t, w * scale) for t, w in _qgaussian_starts(x / scale)]
     kurt = m4 / (m2 * m2)
     if kurt > 3.0 + 1e-9:
         t0 = min(max((5.0 * kurt - 9.0) / (kurt - 3.0), 1.5), 1000.0)
@@ -679,12 +684,17 @@ def _fit_qgaussian(x: np.ndarray) -> tuple[float, float]:
         key=lambda s: -_qgaussian_loglik(x, s[0], s[1]),
     )
     best = None
-    for t0, w0 in starts[:3]:
-        candidate = polish(*quasi_newton(t0, w0))
-        if best is None or candidate[2] > best[2]:
-            best = candidate
-        if best[3] <= _SCORE_TOL and best is candidate:
-            break
+    try:
+        for t0, w0 in starts[:3]:
+            candidate = polish(*quasi_newton(t0, w0))
+            if best is None or candidate[2] > best[2]:
+                best = candidate
+            if best[3] <= _SCORE_TOL and best is candidate:
+                break
+    except (ArithmeticError, ValueError) as exc:
+        # the width ran to 0 (math.log(0), or w * w underflowing): with
+        # repeated values at 0 the likelihood grows without bound there
+        raise ConvergenceError(f"qgaussian fit: the width search ran to 0 ({exc})") from exc
     return best[0], best[1]
 
 

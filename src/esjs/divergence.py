@@ -52,10 +52,18 @@ def esjs(p: StepSurvival, q: StepSurvival) -> float:
     tail = float(_integrand(pv[-1:], qv[-1:])[0])
     if head != 0.0 or tail != 0.0:
         return math.inf
+    return _step_sum(grid, pv, qv)
+
+
+def _step_sum(grid: np.ndarray, pv: np.ndarray, qv: np.ndarray) -> float:
+    """Exact integral of the integrand of two step functions over ``grid``.
+
+    The functions take ``pv[k]`` and ``qv[k]`` on ``[grid[k], grid[k+1])``;
+    the caller has checked that the integrand is 0 outside the grid.
+    """
     if grid.size == 1:
         return 0.0
-    widths = np.diff(grid)
-    return float(np.sum(widths * _integrand(pv[:-1], qv[:-1]))) + 0.0
+    return float(np.sum(np.diff(grid) * _integrand(pv[:-1], qv[:-1]))) + 0.0
 
 
 def esjs_spacings(p_sample: SortedSample, q_sample: SortedSample) -> float:

@@ -15,9 +15,9 @@ import numpy as np
 
 from .bootstrap import BootstrapConfig, ConfidenceInterval, bootstrap_ci
 from .distributions import Family, ParametricModel, SupportError, fit_mle, sample_from
-from .divergence import EsjsFactor, esjs, esjs_factor
+from .divergence import EsjsFactor, _step_sum, esjs, esjs_factor
 from .seeds import derive_seed
-from .survival import SortedSample, empirical_survival, km_binned_survival
+from .survival import SortedSample, _snap_up, empirical_survival, km_binned_survival
 
 __all__ = [
     "FitReport",
@@ -79,16 +79,63 @@ def support_problem(family: Family, sample: SortedSample) -> str | None:
     return None
 
 
-def _esjs_between(p_values: np.ndarray, q_values: np.ndarray, bins: int | None) -> float:
+def _esjs_between(p: SortedSample, q: SortedSample, bins: int | None) -> float:
     """Divergence of two samples: raw, or binned on the grid spanning both."""
-    p = SortedSample(np.sort(p_values))
-    q = SortedSample(np.sort(q_values))
     lo = min(p.min, q.min)
     hi = max(p.max, q.max)
     if bins is None or not lo < hi:
         # unbinned, or all observations identical in both samples
         return esjs(empirical_survival(p), empirical_survival(q))
     return esjs(km_binned_survival(p, bins, (lo, hi)), km_binned_survival(q, bins, (lo, hi)))
+
+
+def _pool(p: SortedSample, q: SortedSample) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Distinct values of both samples, increasing, and the index of each
+    observation of ``p`` and of ``q`` among them (int32, non-decreasing)."""
+    values = np.concatenate([p.values, q.values])
+    order = np.argsort(values, kind="stable")  # two sorted runs: a single merge
+    values = values[order]
+    new = np.empty(values.size, dtype=bool)
+    new[0] = False
+    np.not_equal(values[1:], values[:-1], out=new[1:])
+    positions = np.empty(values.size, dtype=np.int32)
+    positions[order] = np.cumsum(new, dtype=np.int32)
+    new[0] = True
+    return values[new], positions[: p.n], positions[p.n :]
+
+
+def _esjs_of_positions(
+    x: np.ndarray, p_pos: np.ndarray, q_pos: np.ndarray, bins: int | None
+) -> float:
+    """``_esjs_between`` of the samples ``x[p_pos]`` and ``x[q_pos]``, bit for bit.
+
+    ``x`` holds distinct increasing values, so counting the positions orders
+    the samples: the occupied values are the kernel's grid (or, binned, they
+    snap to it), and one running count gives both survivals on it.  No sort
+    and no survival is built, which is what makes a bootstrap replicate cheap.
+    """
+    # Memory is what limits a replicate: each bootstrap thread's malloc arena
+    # keeps its peak, so one packed count array is used (p's draws in the
+    # low 32 bits, q's in the high 32 bits; sizes stay below 2^31) and each
+    # full-length array is dropped as soon as it is used.
+    c = np.bincount(q_pos, minlength=x.size)
+    c <<= 32
+    c += np.bincount(p_pos, minlength=x.size)
+    occupied = np.flatnonzero(c)
+    np.cumsum(c, out=c)
+    at_or_below = c[occupied]
+    del c
+    grid = x[occupied]
+    del occupied
+    if bins is not None and grid.size > 1:
+        # the replicate's own range, as _esjs_between takes it
+        grid, ends = _snap_up(grid, grid[0], grid[-1], bins)
+        at_or_below = at_or_below[ends]
+    n_p, n_q = p_pos.size, q_pos.size
+    pv = (n_p - (at_or_below & 0xFFFFFFFF)) / n_p
+    qv = (n_q - (at_or_below >> 32)) / n_q
+    del at_or_below
+    return _step_sum(grid, pv, qv)
 
 
 def fit_report(
@@ -112,11 +159,13 @@ def fit_report(
     size = data.n if model_sample_size is None else model_sample_size
     model_seed = derive_seed(config.seed, "model", family.value)
     model_sample = sample_from(model, size, model_seed)
-    score = _esjs_between(model_sample.values, data.values, bins)
+    score = _esjs_between(model_sample, data, bins)
     ci_config = replace(config, seed=derive_seed(config.seed, "bootstrap", family.value))
+    # the replicates resample positions in the pooled values, not the values
+    pooled, model_pos, data_pos = _pool(model_sample, data)
     ci = bootstrap_ci(
-        lambda m, d: _esjs_between(m, d, bins),
-        (model_sample.values, data.values),
+        lambda m, d: _esjs_of_positions(pooled, m, d, bins),
+        (model_pos, data_pos),
         ci_config,
         workers=workers,
     )

@@ -138,6 +138,41 @@ def empirical_survival(sample: SortedSample) -> StepSurvival:
     return StepSurvival(uniq, remaining / sample.n, 1.0)
 
 
+def _snap_up(x: np.ndarray, lo: float, hi: float, bins: int) -> tuple[np.ndarray, np.ndarray]:
+    """Snap sorted ``x`` (at most ``hi``) up to the edges of an equal-width grid.
+
+    The edges are those of ``np.linspace(lo, hi, bins + 1)``, computed only
+    where needed.  Each value goes to the first edge at or above it (values
+    below ``lo`` to the first edge after ``lo``).  Returns the occupied
+    edges, increasing, and for each the index in ``x`` of the last value
+    snapped to it.
+    """
+    step = (hi - lo) / bins
+    if not 0.0 < step < math.inf:
+        raise ValueError(f"cannot split ({lo}, {hi}) into {bins} float64 bins")
+
+    def edge(k):
+        # np.linspace(lo, hi, bins + 1)[k], bit for bit; k is non-decreasing,
+        # so the indices equal to bins form a tail
+        e = k * step
+        e += lo
+        e[np.searchsorted(k, bins) :] = hi
+        return e
+
+    # the arithmetic guess can be one edge off, because the edges carry
+    # linspace's rounding; x is sorted, so k stays non-decreasing
+    guess = x - lo
+    guess /= step
+    np.ceil(guess, out=guess)
+    np.clip(guess, 1, bins, out=guess)
+    k = guess.astype(np.intp)
+    k += edge(k) < x
+    k -= (k > 1) & (edge(k - 1) >= x)
+    # each occupied edge ends a run of equal k
+    ends = np.flatnonzero(np.diff(k, append=bins + 1))
+    return edge(k[ends]), ends
+
+
 def km_binned_survival(
     sample: SortedSample,
     bins: int = DEFAULT_BINS,
@@ -150,7 +185,7 @@ def km_binned_survival(
     edges are ``np.linspace(lo, hi, bins + 1)[1:]``; each observation up to
     ``hi`` is snapped up to the first edge at or above it, and only the
     occupied edges become breakpoints, so the result has at most
-    ``min(n, bins)`` steps and costs O(n) beyond the grid itself.
+    ``min(n, bins)`` steps and costs O(n) whatever ``bins`` is.
     Observations above ``hi`` stay in the tail value.
     """
     if bins < 1:
@@ -158,23 +193,13 @@ def km_binned_survival(
     lo, hi = bounds if bounds is not None else (sample.min, sample.max)
     if not lo < hi:
         raise ValueError(f"invalid range: need lo < hi, got ({lo}, {hi})")
-    step = (hi - lo) / bins
-    if not 0.0 < step < math.inf:
-        raise ValueError(f"cannot split ({lo}, {hi}) into {bins} float64 bins")
-    edges = np.linspace(lo, hi, bins + 1)
     n = sample.n
     x = sample.values[: np.searchsorted(sample.values, hi, side="right")]
-    if x.size == 0:
+    edges, ends = _snap_up(x, lo, hi, bins)
+    if ends.size == 0:
         # every observation lies above hi: S is 1 on the whole grid
-        return StepSurvival(edges[-1:], np.ones(1), 1.0)
-    # index of the first edge at or above x; the arithmetic guess can be one
-    # edge off, because the edges carry linspace's rounding
-    k = np.clip(np.ceil((x - lo) / step), 1, bins).astype(np.intp)
-    k += edges[k] < x
-    k -= (k > 1) & (edges[k - 1] >= x)
-    # x is sorted, so each occupied edge ends a run of equal k
-    ends = np.append(np.flatnonzero(k[1:] != k[:-1]), x.size - 1)
-    return StepSurvival(edges[k[ends]], (n - 1 - ends) / n, 1.0)
+        return StepSurvival(np.array([hi]), np.ones(1), 1.0)
+    return StepSurvival(edges, (n - 1 - ends) / n, 1.0)
 
 
 def survival_entropy(sample: SortedSample) -> float:

@@ -36,6 +36,12 @@ class TestMovingBlockResample:
         out = moving_block_resample(series, block_length=2, seed=11)
         assert out.shape == (5,)
 
+    def test_integer_series_keep_their_dtype(self):
+        positions = np.arange(10, dtype=np.int32)
+        out = moving_block_resample(positions, block_length=3, seed=5)
+        assert out.dtype == np.int32
+        np.testing.assert_array_equal(out, moving_block_resample(positions * 1.0, 3, seed=5))
+
     def test_invalid_block_length(self):
         with pytest.raises(ValueError):
             moving_block_resample([1.0, 2.0], block_length=0, seed=1)
@@ -105,6 +111,24 @@ class TestBootstrapCi:
         ci = bootstrap_ci(lambda x, y: float(np.mean(x) + np.mean(y)), (a, b), config)
         assert ci.point == 1.0
         assert ci.lb == ci.ub == 1.0
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            BootstrapConfig(resamples=6, seed=8),
+            BootstrapConfig(resamples=6, seed=8, method="moving_block", block_length=2),
+        ],
+    )
+    def test_integer_components_keep_their_dtype(self, config):
+        seen = set()
+
+        def statistic(a, b, c):
+            seen.add((a.dtype, b.dtype, c.dtype))
+            return 0.0
+
+        data = (np.arange(7, dtype=np.int32), np.arange(5, dtype=np.int64), [1.0, 2.0, 3.0])
+        replicate_values(statistic, data, config)
+        assert seen == {(np.dtype(np.int32), np.dtype(np.int64), np.dtype(np.float64))}
 
     def test_moving_block_config(self):
         series = np.sin(np.arange(64.0))

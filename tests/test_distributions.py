@@ -265,6 +265,22 @@ class TestFitIterative:
                 assert rescaled.params[0] == pytest.approx(fitted.params[0], rel=1e-9)
                 assert rescaled.params[1] == pytest.approx(fitted.params[1] * factor, rel=1e-9)
 
+    def test_qgaussian_where_the_moments_underflow(self):
+        # Below about 1e-154 the second moment squared underflows to 0.  The
+        # starts are then taken on the data rescaled to max |x| = 1, so a
+        # Student-t sample fits as it does at unit scale ...
+        student = np.sort(np.random.default_rng(4).standard_t(3.0, 1000))
+        fitted = fit_mle(Family.Q_GAUSSIAN, SortedSample(student))
+        tiny = fit_mle(Family.Q_GAUSSIAN, SortedSample(student * 1e-160))
+        assert tiny.params[0] == pytest.approx(fitted.params[0], rel=1e-9)
+        assert tiny.params[1] == pytest.approx(fitted.params[1] * 1e-160, rel=1e-9)
+        # ... and on repeated zeros, where the likelihood grows without bound
+        # as the width shrinks, the search fails with the typed error at
+        # every scale
+        for scale in (1.0, 1e-300):
+            with pytest.raises(ConvergenceError, match="width search ran to 0"):
+                fit_mle(Family.Q_GAUSSIAN, SortedSample.from_data([0.0, 0.0, 0.0, scale]))
+
     @pytest.mark.parametrize(
         "family, true_params",
         [

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from esjs import (
     BootstrapConfig,
@@ -11,9 +13,11 @@ from esjs import (
     powerlaw_fit,
     sample_from,
     scaling_experiment,
+    replicate_values,
     simulate_experiment,
     support_problem,
 )
+from esjs.gof import _esjs_between, _esjs_of_positions, _pool
 
 NORMAL01 = ParametricModel(Family.NORMAL, (0.0, 1.0))
 
@@ -50,11 +54,70 @@ class TestFitReport:
         again = fit_report(data, Family.NORMAL, config)
         assert report == again
 
+    @pytest.mark.parametrize("bins", [None, 1000])
+    def test_ci_does_not_depend_on_workers(self, bins):
+        data = sample_from(NORMAL01, 2_000, 8)
+        config = BootstrapConfig(resamples=30, seed=5)
+        one = fit_report(data, Family.NORMAL, config, bins=bins, workers=1)
+        two = fit_report(data, Family.NORMAL, config, bins=bins, workers=2)
+        assert one == two
+        # the interval's point is the replicate statistic on the data as drawn
+        assert one.ci.point == one.esjs
+
     def test_support_violation_raises(self):
         data = sample_from(NORMAL01, 100, 8)
         config = BootstrapConfig(resamples=5, seed=1)
         with pytest.raises(Exception, match="positive"):
             fit_report(data, Family.GAMMA, config)
+
+
+@st.composite
+def resampled_pairs(draw):
+    """A model sample and a data set of independent sizes, a bin count, and
+    a resampling plan."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.integers(-100, 100))
+    levels = draw(st.sampled_from([1, 2, 5, 2**20]))  # few levels: heavy ties
+
+    def sample():
+        size = draw(st.integers(1, 60))
+        return SortedSample.from_data(rng.integers(-levels, levels + 1, size) / levels * scale)
+
+    p, q = sample(), sample()
+    bins = draw(st.sampled_from([None, 1, 2, 7, 1000, 10**6]))
+    if draw(st.booleans()):
+        block = draw(st.integers(1, min(p.n, q.n)))
+        config = BootstrapConfig(resamples=4, seed=3, method="moving_block", block_length=block)
+    else:
+        config = BootstrapConfig(resamples=4, seed=3)
+    return p, q, bins, config
+
+
+class TestReplicateSweep:
+    @given(resampled_pairs())
+    @example((SortedSample.from_data([2.0]), SortedSample.from_data([2.0]), 10,
+              BootstrapConfig(resamples=3, seed=1)))
+    @example((SortedSample.from_data([1.0, 1.0, 3.0]), SortedSample.from_data([1.0]), 10**6,
+              BootstrapConfig(resamples=8, seed=1, method="moving_block", block_length=1)))
+    def test_positions_statistic_equals_the_values_statistic(self, case):
+        # the same draws, scored from positions in the pooled values and from
+        # the resampled values themselves
+        p, q, bins, config = case
+        pooled, p_pos, q_pos = _pool(p, q)
+        assert np.array_equal(pooled[p_pos], p.values)
+        assert np.array_equal(pooled[q_pos], q.values)
+        got = replicate_values(
+            lambda m, d: _esjs_of_positions(pooled, m, d, bins), (p_pos, q_pos), config
+        )
+        want = replicate_values(
+            lambda m, d: _esjs_between(SortedSample.from_data(m), SortedSample.from_data(d), bins),
+            (p.values, q.values),
+            config,
+        )
+        if bins is None:
+            np.testing.assert_array_equal(got, want)
+        else:
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
 class TestSimulateExperiment:
