@@ -23,6 +23,7 @@ from .distributions import (
     log_likelihood,
     log_likelihood_gradient,
     sample_from,
+    support_problem,
     survival_of,
 )
 from .divergence import EsjsFactor, esjs, esjs_distance, esjs_factor, esjs_spacings
@@ -35,7 +36,6 @@ from .gof import (
     powerlaw_fit,
     scaling_experiment,
     simulate_experiment,
-    support_problem,
 )
 from .seeds import derive_seed
 from .survival import (

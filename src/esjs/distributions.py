@@ -12,6 +12,13 @@ Families and their parameter order (matching the reporting convention):
     exponential  (scale,)
     pareto       (shape,)            support x >= 1
 
+The table ``_FAMILIES`` at the end of this module holds one record per
+family: its parameter names and checks, its support, log-density, survival,
+sampler, score and fitter.  Every public function looks the family up there,
+and the support is declared once: ``support_problem`` and ``fit_mle`` read it
+for the data, ``density`` is 0 outside it, and ``survival_of`` is 1 below it
+and 0 above it.
+
 The qgaussian density is
 
     f(x) = Gamma(t/2) / (sqrt(pi) w Gamma((t-1)/2)) * (1 + (x/w)^2)^(-t/2)
@@ -35,6 +42,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy import optimize, special
@@ -52,6 +60,7 @@ __all__ = [
     "log_likelihood",
     "log_likelihood_gradient",
     "fit_mle",
+    "support_problem",
 ]
 
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -80,11 +89,7 @@ class Family(enum.Enum):
 
     @property
     def param_count(self) -> int:
-        return 1 if self in (Family.EXPONENTIAL, Family.PARETO) else 2
-
-    @property
-    def param_names(self) -> tuple[str, ...]:
-        return _PARAM_NAMES[self]
+        return len(_FAMILIES[self].names)
 
     @classmethod
     def parse(cls, name: str) -> "Family":
@@ -99,22 +104,46 @@ class Family(enum.Enum):
 
 _FAMILY_ALIASES = {"log-normal": "lognormal", "q-gaussian": "qgaussian"}
 
-_PARAM_NAMES = {
-    Family.NORMAL: ("mean", "sd"),
-    Family.UNIFORM: ("lower", "upper"),
-    Family.LOG_NORMAL: ("log_mean", "log_sd"),
-    Family.GAMMA: ("shape", "scale"),
-    Family.WEIBULL: ("shape", "scale"),
-    Family.BETA: ("alpha", "beta"),
-    Family.Q_GAUSSIAN: ("tail", "width"),
-    Family.EXPONENTIAL: ("scale",),
-    Family.PARETO: ("shape",),
-}
 
-_ITERATIVE = (Family.GAMMA, Family.WEIBULL, Family.BETA, Family.Q_GAUSSIAN)
+@dataclass(frozen=True)
+class _Spec:
+    """Everything the module knows about one family.
 
-# iterative families whose second parameter is a scale
-_SCALED = (Family.GAMMA, Family.WEIBULL, Family.Q_GAUSSIAN)
+    The formulas take the parameters unpacked after their first arguments:
+    ``log_density(x, *params)`` and ``survival(x, *params)`` see only points
+    inside the support, ``draw(rng, n, *params)`` returns ``n`` unsorted
+    draws, ``score(x, *params)`` is the gradient of the log-likelihood of the
+    sorted sample ``x`` and ``fit(x)`` its maximum-likelihood parameters.
+    """
+
+    names: tuple[str, ...]
+    #: (holds(*params), what "<family> requires ..." names when it fails)
+    rules: tuple[tuple[Callable[..., bool], str], ...]
+    log_density: Callable[..., np.ndarray]
+    survival: Callable[..., np.ndarray]
+    draw: Callable[..., np.ndarray]
+    score: Callable[..., np.ndarray] | None  # None: the maximum is on a boundary
+    fit: Callable[[np.ndarray], tuple[float, ...]]
+    #: support bounds; the upper one is always open
+    support: tuple[float, float] = (-math.inf, math.inf)
+    closed_below: bool = False
+    #: what the skip reason says when data leave the support
+    support_reason: str | None = None
+    #: the fit must end with score norm <= _SCORE_TOL ...
+    iterative: bool = False
+    #: ... with the second component multiplied by the second (scale) parameter
+    scaled: bool = False
+
+    def outside(self, x):
+        """True where ``x`` lies outside the support."""
+        lo, hi = self.support
+        return ((x < lo) if self.closed_below else (x <= lo)) | (x >= hi)
+
+    @property
+    def interior(self) -> float:
+        """A point inside the support, to stand in for the points outside it."""
+        lo = self.support[0]
+        return lo + 0.5 if math.isfinite(lo) else 0.0
 
 
 @dataclass(frozen=True)
@@ -127,106 +156,21 @@ class ParametricModel:
     def __post_init__(self):
         params = tuple(float(p) for p in np.atleast_1d(np.asarray(self.params)))
         object.__setattr__(self, "params", params)
-        _validate_params(self.family, params)
-
-
-def _validate_params(family: Family, params: tuple[float, ...]) -> None:
-    if len(params) != family.param_count:
-        raise ValueError(
-            f"{family.value} takes {family.param_count} parameter(s), got {len(params)}"
-        )
-    if not all(math.isfinite(p) for p in params):
-        raise ValueError(f"{family.value} parameters must be finite")
-    if family is Family.NORMAL or family is Family.LOG_NORMAL:
-        if params[1] <= 0:
-            raise ValueError(f"{family.value} requires sd > 0")
-    elif family is Family.UNIFORM:
-        if not params[0] < params[1]:
-            raise ValueError("uniform requires lower < upper")
-    elif family in (Family.GAMMA, Family.WEIBULL):
-        if params[0] <= 0 or params[1] <= 0:
-            raise ValueError(f"{family.value} requires shape > 0 and scale > 0")
-    elif family is Family.BETA:
-        if params[0] <= 0 or params[1] <= 0:
-            raise ValueError("beta requires alpha > 0 and beta > 0")
-    elif family is Family.Q_GAUSSIAN:
-        if params[0] <= 1:
-            raise ValueError("qgaussian requires tail exponent > 1")
-        if params[1] <= 0:
-            raise ValueError("qgaussian requires width > 0")
-    elif family is Family.EXPONENTIAL:
-        if params[0] <= 0:
-            raise ValueError("exponential requires scale > 0")
-    elif family is Family.PARETO:
-        if params[0] <= 0:
-            raise ValueError("pareto requires shape > 0")
+        name, spec = self.family.value, _FAMILIES[self.family]
+        if len(params) != len(spec.names):
+            raise ValueError(f"{name} takes {len(spec.names)} parameter(s), got {len(params)}")
+        if not all(math.isfinite(p) for p in params):
+            raise ValueError(f"{name} parameters must be finite")
+        for holds, requirement in spec.rules:
+            if not holds(*params):
+                raise ValueError(f"{name} requires {requirement}")
 
 
 def _log_density_array(model: ParametricModel, x: np.ndarray) -> np.ndarray:
-    fam = model.family
-    if fam is Family.NORMAL:
-        mu, sd = model.params
-        z = (x - mu) / sd
-        return -0.5 * z * z - math.log(sd) - _HALF_LOG_2PI
-    if fam is Family.UNIFORM:
-        lo, hi = model.params
-        return np.where((x >= lo) & (x <= hi), -math.log(hi - lo), -np.inf)
-    if fam is Family.LOG_NORMAL:
-        mu, sd = model.params
-        ok = x > 0
-        xs = np.where(ok, x, 1.0)
-        lx = np.log(xs)
-        z = (lx - mu) / sd
-        return np.where(ok, -lx - math.log(sd) - _HALF_LOG_2PI - 0.5 * z * z, -np.inf)
-    if fam is Family.GAMMA:
-        k, tau = model.params
-        ok = x > 0
-        xs = np.where(ok, x, 1.0)
-        val = (
-            (k - 1.0) * np.log(xs)
-            - xs / tau
-            - special.gammaln(k)
-            - k * math.log(tau)
-        )
-        return np.where(ok, val, -np.inf)
-    if fam is Family.WEIBULL:
-        k, tau = model.params
-        ok = x > 0
-        xs = np.where(ok, x, 1.0)
-        val = (
-            math.log(k)
-            + (k - 1.0) * np.log(xs)
-            - k * math.log(tau)
-            - (xs / tau) ** k
-        )
-        return np.where(ok, val, -np.inf)
-    if fam is Family.BETA:
-        a, b = model.params
-        ok = (x > 0) & (x < 1)
-        xs = np.where(ok, x, 0.5)
-        norm = special.gammaln(a + b) - special.gammaln(a) - special.gammaln(b)
-        val = (a - 1.0) * np.log(xs) + (b - 1.0) * np.log1p(-xs) + norm
-        return np.where(ok, val, -np.inf)
-    if fam is Family.Q_GAUSSIAN:
-        t, w = model.params
-        norm = (
-            special.gammaln(0.5 * t)
-            - special.gammaln(0.5 * (t - 1.0))
-            - 0.5 * math.log(math.pi)
-            - math.log(w)
-        )
-        return norm - 0.5 * t * np.log1p((x / w) ** 2)
-    if fam is Family.EXPONENTIAL:
-        (tau,) = model.params
-        ok = x >= 0
-        xs = np.where(ok, x, 0.0)
-        return np.where(ok, -math.log(tau) - xs / tau, -np.inf)
-    if fam is Family.PARETO:
-        (alpha,) = model.params
-        ok = x >= 1
-        xs = np.where(ok, x, 1.0)
-        return np.where(ok, math.log(alpha) - (alpha + 1.0) * np.log(xs), -np.inf)
-    raise AssertionError(f"unhandled family {fam}")
+    spec = _FAMILIES[model.family]
+    outside = spec.outside(x)
+    inner = spec.log_density(np.where(outside, spec.interior, x), *model.params)
+    return np.where(outside, -np.inf, inner)
 
 
 def density(model: ParametricModel, x):
@@ -239,48 +183,12 @@ def density(model: ParametricModel, x):
 def survival_of(model: ParametricModel, x):
     """Model survival function 1 - CDF at scalar or array ``x``."""
     arr = np.asarray(x, dtype=np.float64)
-    fam = model.family
-    if fam is Family.NORMAL:
-        mu, sd = model.params
-        out = special.ndtr((mu - arr) / sd)
-    elif fam is Family.UNIFORM:
-        lo, hi = model.params
-        out = np.clip((hi - arr) / (hi - lo), 0.0, 1.0)
-    elif fam is Family.LOG_NORMAL:
-        mu, sd = model.params
-        pos = arr > 0
-        xs = np.where(pos, arr, 1.0)
-        out = np.where(pos, special.ndtr((mu - np.log(xs)) / sd), 1.0)
-    elif fam is Family.GAMMA:
-        k, tau = model.params
-        pos = arr > 0
-        xs = np.where(pos, arr, 0.0)
-        out = np.where(pos, special.gammaincc(k, xs / tau), 1.0)
-    elif fam is Family.WEIBULL:
-        k, tau = model.params
-        pos = arr > 0
-        xs = np.where(pos, arr, 0.0)
-        out = np.where(pos, np.exp(-((xs / tau) ** k)), 1.0)
-    elif fam is Family.BETA:
-        a, b = model.params
-        inside = np.clip(arr, 0.0, 1.0)
-        out = 1.0 - special.betainc(a, b, inside)
-    elif fam is Family.Q_GAUSSIAN:
-        t, w = model.params
-        df = t - 1.0
-        out = special.stdtr(df, -arr * math.sqrt(df) / w)
-    elif fam is Family.EXPONENTIAL:
-        (tau,) = model.params
-        pos = arr >= 0
-        xs = np.where(pos, arr, 0.0)
-        out = np.where(pos, np.exp(-xs / tau), 1.0)
-    elif fam is Family.PARETO:
-        (alpha,) = model.params
-        above = arr > 1
-        xs = np.where(above, arr, 1.0)
-        out = np.where(above, xs ** (-alpha), 1.0)
-    else:
-        raise AssertionError(f"unhandled family {fam}")
+    spec = _FAMILIES[model.family]
+    lo, hi = spec.support
+    # every draw lies above a point at or below the lower bound
+    below, above = arr <= lo, arr >= hi
+    inner = spec.survival(np.where(below | above, spec.interior, arr), *model.params)
+    out = np.where(below, 1.0, np.where(above, 0.0, inner))
     return float(out) if arr.ndim == 0 else out
 
 
@@ -294,32 +202,11 @@ def sample_from(model: ParametricModel, n: int, seed: int) -> SortedSample:
     if seed < 0:
         raise ValueError("seed must be a non-negative integer")
     rng = np.random.default_rng(int(seed))
-    fam = model.family
-    if fam is Family.NORMAL:
-        draws = rng.normal(model.params[0], model.params[1], n)
-    elif fam is Family.UNIFORM:
-        draws = rng.uniform(model.params[0], model.params[1], n)
-    elif fam is Family.LOG_NORMAL:
-        draws = rng.lognormal(model.params[0], model.params[1], n)
-    elif fam is Family.GAMMA:
-        draws = rng.gamma(model.params[0], model.params[1], n)
-    elif fam is Family.WEIBULL:
-        draws = model.params[1] * rng.weibull(model.params[0], n)
-    elif fam is Family.BETA:
-        draws = rng.beta(model.params[0], model.params[1], n)
-    elif fam is Family.Q_GAUSSIAN:
-        t, w = model.params
-        df = t - 1.0
-        draws = rng.standard_t(df, n) * (w / math.sqrt(df))
-    elif fam is Family.EXPONENTIAL:
-        draws = rng.exponential(model.params[0], n)
-    elif fam is Family.PARETO:
-        draws = rng.pareto(model.params[0], n) + 1.0
-    else:
-        raise AssertionError(f"unhandled family {fam}")
-    draws = np.sort(draws)
+    draws = np.sort(_FAMILIES[model.family].draw(rng, n, *model.params))
     if not (math.isfinite(draws[0]) and math.isfinite(draws[-1])):
-        raise OverflowError(f"{fam.value} draws overflow float64 at parameters {model.params}")
+        raise OverflowError(
+            f"{model.family.value} draws overflow float64 at parameters {model.params}"
+        )
     return SortedSample(draws)
 
 
@@ -334,71 +221,41 @@ def log_likelihood_gradient(model: ParametricModel, sample: SortedSample) -> np.
     Not defined for the uniform family, whose maximum sits on the boundary
     of the admissible region.
     """
-    x = sample.values
-    n = x.size
-    fam = model.family
-    if fam is Family.NORMAL:
-        mu, sd = model.params
-        d = x - mu
-        return np.array(
-            [float(d.sum()) / sd**2, -n / sd + float((d * d).sum()) / sd**3]
-        )
-    if fam is Family.LOG_NORMAL:
-        mu, sd = model.params
-        d = np.log(x) - mu
-        return np.array(
-            [float(d.sum()) / sd**2, -n / sd + float((d * d).sum()) / sd**3]
-        )
-    if fam is Family.GAMMA:
-        k, tau = model.params
-        g_k = float(np.log(x).sum()) - n * float(special.digamma(k)) - n * math.log(tau)
-        g_tau = (float(x.sum()) / tau - n * k) / tau
-        return np.array([g_k, g_tau])
-    if fam is Family.WEIBULL:
-        k, tau = model.params
-        z = x / tau
-        zk = z**k
-        lz = np.log(z)
-        g_k = n / k + float(np.log(x).sum()) - n * math.log(tau) - float((zk * lz).sum())
-        g_tau = (k / tau) * (float(zk.sum()) - n)
-        return np.array([g_k, g_tau])
-    if fam is Family.BETA:
-        a, b = model.params
-        psi_ab = float(special.digamma(a + b))
-        g_a = float(np.log(x).sum()) - n * (float(special.digamma(a)) - psi_ab)
-        g_b = float(np.log1p(-x).sum()) - n * (float(special.digamma(b)) - psi_ab)
-        return np.array([g_a, g_b])
-    if fam is Family.Q_GAUSSIAN:
-        t, w = model.params
-        g, _ = _qgaussian_score_hessian(x, t, w)
-        return g
-    if fam is Family.EXPONENTIAL:
-        (tau,) = model.params
-        return np.array([-n / tau + float(x.sum()) / tau**2])
-    if fam is Family.PARETO:
-        (alpha,) = model.params
-        return np.array([n / alpha - float(np.log(x).sum())])
-    raise ValueError(f"gradient not defined for family {fam.value}")
+    score = _FAMILIES[model.family].score
+    if score is None:
+        raise ValueError(f"gradient not defined for family {model.family.value}")
+    return score(sample.values, *model.params)
+
+
+def support_problem(family: Family, sample: SortedSample) -> str | None:
+    """Reason ``family`` cannot be fitted to ``sample``, or None if it can."""
+    spec = _FAMILIES[family]
+    if spec.outside(sample.min) or spec.outside(sample.max):
+        return spec.support_reason
+    return None
 
 
 def fit_mle(family: Family, sample: SortedSample) -> ParametricModel:
     """Maximum-likelihood fit of ``family`` to ``sample``.
 
     Raises :class:`SupportError` when the data violate the family's support
+    (the message is the family name and :func:`support_problem`'s reason)
     and :class:`ConvergenceError` when an iterative fit fails to reach score
     norm <= 1e-6 in the (shape, log-scale) parameterisation, that is with
     the scale component of the score multiplied by the scale parameter.
     In that parameterisation the score is unchanged when the data are
     multiplied by a constant, so the check does not depend on their units.
     """
+    reason = support_problem(family, sample)
+    if reason is not None:
+        raise SupportError(f"{family.value} {reason}")
     if sample.n < 2:
         raise ValueError("maximum-likelihood fitting requires n >= 2")
-    x = sample.values
-    fitter = _FITTERS[family]
-    model = ParametricModel(family, fitter(x))
-    if family in _ITERATIVE:
-        score = log_likelihood_gradient(model, sample)
-        if family in _SCALED:
+    spec = _FAMILIES[family]
+    model = ParametricModel(family, spec.fit(sample.values))
+    if spec.iterative:
+        score = spec.score(sample.values, *model.params)
+        if spec.scaled:
             score[1] *= model.params[1]
         norm = float(np.linalg.norm(score))
         if not norm <= _SCORE_TOL:
@@ -407,6 +264,47 @@ def fit_mle(family: Family, sample: SortedSample) -> ParametricModel:
                 f"at parameters {model.params}"
             )
     return model
+
+
+def _normal_log_density(x: np.ndarray, mu: float, sd: float) -> np.ndarray:
+    z = (x - mu) / sd
+    return -0.5 * z * z - math.log(sd) - _HALF_LOG_2PI
+
+
+def _lognormal_log_density(x: np.ndarray, mu: float, sd: float) -> np.ndarray:
+    lx = np.log(x)
+    z = (lx - mu) / sd
+    return -lx - math.log(sd) - _HALF_LOG_2PI - 0.5 * z * z
+
+
+def _normal_score(d: np.ndarray, sd: float) -> np.ndarray:
+    # score in (mean, sd) given the deviations d from the mean
+    return np.array([float(d.sum()) / sd**2, -d.size / sd + float((d * d).sum()) / sd**3])
+
+
+def _gamma_score(x: np.ndarray, k: float, tau: float) -> np.ndarray:
+    n = x.size
+    g_k = float(np.log(x).sum()) - n * float(special.digamma(k)) - n * math.log(tau)
+    g_tau = (float(x.sum()) / tau - n * k) / tau
+    return np.array([g_k, g_tau])
+
+
+def _weibull_score(x: np.ndarray, k: float, tau: float) -> np.ndarray:
+    n = x.size
+    z = x / tau
+    zk = z**k
+    lz = np.log(z)
+    g_k = n / k + float(np.log(x).sum()) - n * math.log(tau) - float((zk * lz).sum())
+    g_tau = (k / tau) * (float(zk.sum()) - n)
+    return np.array([g_k, g_tau])
+
+
+def _beta_score(x: np.ndarray, a: float, b: float) -> np.ndarray:
+    n = x.size
+    psi_ab = float(special.digamma(a + b))
+    g_a = float(np.log(x).sum()) - n * (float(special.digamma(a)) - psi_ab)
+    g_b = float(np.log1p(-x).sum()) - n * (float(special.digamma(b)) - psi_ab)
+    return np.array([g_a, g_b])
 
 
 def _fit_normal(x: np.ndarray) -> tuple[float, float]:
@@ -425,8 +323,6 @@ def _fit_uniform(x: np.ndarray) -> tuple[float, float]:
 
 
 def _fit_lognormal(x: np.ndarray) -> tuple[float, float]:
-    if x[0] <= 0:
-        raise SupportError("lognormal requires strictly positive observations")
     lx = np.log(x)
     mu = float(lx.mean())
     sd = float(np.sqrt(np.mean((lx - mu) ** 2)))
@@ -436,8 +332,6 @@ def _fit_lognormal(x: np.ndarray) -> tuple[float, float]:
 
 
 def _fit_exponential(x: np.ndarray) -> tuple[float]:
-    if x[0] < 0:
-        raise SupportError("exponential requires non-negative observations")
     tau = float(x.mean())
     if tau <= 0:
         raise ValueError("exponential fit requires a positive sample mean")
@@ -445,8 +339,6 @@ def _fit_exponential(x: np.ndarray) -> tuple[float]:
 
 
 def _fit_pareto(x: np.ndarray) -> tuple[float]:
-    if x[0] < 1:
-        raise SupportError("pareto requires observations >= 1")
     slog = float(np.log(x).sum())
     if slog <= 0:
         raise ValueError("pareto fit requires observations above the lower bound 1")
@@ -454,8 +346,6 @@ def _fit_pareto(x: np.ndarray) -> tuple[float]:
 
 
 def _fit_gamma(x: np.ndarray) -> tuple[float, float]:
-    if x[0] <= 0:
-        raise SupportError("gamma requires strictly positive observations")
     mean = float(x.mean())
     s = math.log(mean) - float(np.log(x).mean())
     if not s > 0:
@@ -482,8 +372,6 @@ def _fit_gamma(x: np.ndarray) -> tuple[float, float]:
 
 
 def _fit_weibull(x: np.ndarray) -> tuple[float, float]:
-    if x[0] <= 0:
-        raise SupportError("weibull requires strictly positive observations")
     lx = np.log(x)
     sd_lx = float(lx.std())
     if sd_lx == 0:
@@ -520,8 +408,6 @@ def _fit_weibull(x: np.ndarray) -> tuple[float, float]:
 
 
 def _fit_beta(x: np.ndarray) -> tuple[float, float]:
-    if x[0] <= 0 or x[-1] >= 1:
-        raise SupportError("beta requires observations strictly inside (0, 1)")
     m = float(x.mean())
     v = float(x.var())
     if v == 0:
@@ -589,13 +475,18 @@ def _qgaussian_score_hessian(
     return g, h
 
 
-def _qgaussian_loglik(x: np.ndarray, t: float, w: float) -> float:
-    norm = (
+def _qgaussian_log_norm(t: float, w: float) -> float:
+    # log of the density's normalising constant
+    return (
         special.gammaln(0.5 * t)
         - special.gammaln(0.5 * (t - 1.0))
         - 0.5 * math.log(math.pi)
         - math.log(w)
     )
+
+
+def _qgaussian_loglik(x: np.ndarray, t: float, w: float) -> float:
+    norm = _qgaussian_log_norm(t, w)  # a width run to 0 raises here, before x / w
     su, _, _ = _qgaussian_sums(x, w)
     return float(x.size * norm - 0.5 * t * su)
 
@@ -640,7 +531,10 @@ def _fit_qgaussian(x: np.ndarray) -> tuple[float, float]:
         def neg_grad(p):
             t_cur, w_cur = 1.0 + math.exp(p[0]), math.exp(p[1])
             g, _ = _qgaussian_score_hessian(x, t_cur, w_cur)
-            return np.array([-g[0] * (t_cur - 1.0), -g[1] * w_cur])
+            # where the search diverges a component is inf * 0, and the nan
+            # ends it (the caller raises ConvergenceError)
+            with np.errstate(invalid="ignore"):
+                return np.array([-g[0] * (t_cur - 1.0), -g[1] * w_cur])
 
         res = optimize.minimize(
             neg_ll,
@@ -658,8 +552,10 @@ def _fit_qgaussian(x: np.ndarray) -> tuple[float, float]:
             g, h = _qgaussian_score_hessian(x, t_cur, w_cur)
             if float(np.max(np.abs(g))) <= 1e-9:
                 break
-            det = h[0, 0] * h[1, 1] - h[0, 1] * h[1, 0]
-            if det == 0:
+            with np.errstate(over="ignore", invalid="ignore"):
+                det = h[0, 0] * h[1, 1] - h[0, 1] * h[1, 0]
+            # a step through a non-finite determinant is 0 or nan: it changes nothing
+            if det == 0 or not np.isfinite(det):
                 break
             dt = -(h[1, 1] * g[0] - h[0, 1] * g[1]) / det
             dw = -(h[0, 0] * g[1] - h[1, 0] * g[0]) / det
@@ -698,14 +594,117 @@ def _fit_qgaussian(x: np.ndarray) -> tuple[float, float]:
     return best[0], best[1]
 
 
-_FITTERS = {
-    Family.NORMAL: _fit_normal,
-    Family.UNIFORM: _fit_uniform,
-    Family.LOG_NORMAL: _fit_lognormal,
-    Family.GAMMA: _fit_gamma,
-    Family.WEIBULL: _fit_weibull,
-    Family.BETA: _fit_beta,
-    Family.Q_GAUSSIAN: _fit_qgaussian,
-    Family.EXPONENTIAL: _fit_exponential,
-    Family.PARETO: _fit_pareto,
+_POSITIVE = "requires strictly positive data"
+
+_FAMILIES = {
+    Family.NORMAL: _Spec(
+        names=("mean", "sd"),
+        rules=((lambda mu, sd: sd > 0, "sd > 0"),),
+        log_density=_normal_log_density,
+        survival=lambda x, mu, sd: special.ndtr((mu - x) / sd),
+        draw=lambda rng, n, mu, sd: rng.normal(mu, sd, n),
+        score=lambda x, mu, sd: _normal_score(x - mu, sd),
+        fit=_fit_normal,
+    ),
+    Family.UNIFORM: _Spec(
+        names=("lower", "upper"),
+        rules=((lambda lo, hi: lo < hi, "lower < upper"),),
+        log_density=lambda x, lo, hi: np.where((x >= lo) & (x <= hi), -math.log(hi - lo), -np.inf),
+        survival=lambda x, lo, hi: np.clip((hi - x) / (hi - lo), 0.0, 1.0),
+        draw=lambda rng, n, lo, hi: rng.uniform(lo, hi, n),
+        score=None,
+        fit=_fit_uniform,
+    ),
+    Family.LOG_NORMAL: _Spec(
+        names=("log_mean", "log_sd"),
+        rules=((lambda mu, sd: sd > 0, "sd > 0"),),
+        log_density=_lognormal_log_density,
+        survival=lambda x, mu, sd: special.ndtr((mu - np.log(x)) / sd),
+        draw=lambda rng, n, mu, sd: rng.lognormal(mu, sd, n),
+        score=lambda x, mu, sd: _normal_score(np.log(x) - mu, sd),
+        fit=_fit_lognormal,
+        support=(0.0, math.inf),
+        support_reason=_POSITIVE,
+    ),
+    Family.GAMMA: _Spec(
+        names=("shape", "scale"),
+        rules=((lambda k, tau: k > 0 and tau > 0, "shape > 0 and scale > 0"),),
+        log_density=lambda x, k, tau: (
+            (k - 1.0) * np.log(x) - x / tau - special.gammaln(k) - k * math.log(tau)
+        ),
+        survival=lambda x, k, tau: special.gammaincc(k, x / tau),
+        draw=lambda rng, n, k, tau: rng.gamma(k, tau, n),
+        score=_gamma_score,
+        fit=_fit_gamma,
+        support=(0.0, math.inf),
+        support_reason=_POSITIVE,
+        iterative=True,
+        scaled=True,
+    ),
+    Family.WEIBULL: _Spec(
+        names=("shape", "scale"),
+        rules=((lambda k, tau: k > 0 and tau > 0, "shape > 0 and scale > 0"),),
+        log_density=lambda x, k, tau: (
+            math.log(k) + (k - 1.0) * np.log(x) - k * math.log(tau) - (x / tau) ** k
+        ),
+        survival=lambda x, k, tau: np.exp(-((x / tau) ** k)),
+        draw=lambda rng, n, k, tau: tau * rng.weibull(k, n),
+        score=_weibull_score,
+        fit=_fit_weibull,
+        support=(0.0, math.inf),
+        support_reason=_POSITIVE,
+        iterative=True,
+        scaled=True,
+    ),
+    Family.BETA: _Spec(
+        names=("alpha", "beta"),
+        rules=((lambda a, b: a > 0 and b > 0, "alpha > 0 and beta > 0"),),
+        log_density=lambda x, a, b: (
+            (a - 1.0) * np.log(x)
+            + (b - 1.0) * np.log1p(-x)
+            + (special.gammaln(a + b) - special.gammaln(a) - special.gammaln(b))
+        ),
+        survival=lambda x, a, b: 1.0 - special.betainc(a, b, x),
+        draw=lambda rng, n, a, b: rng.beta(a, b, n),
+        score=_beta_score,
+        fit=_fit_beta,
+        support=(0.0, 1.0),
+        support_reason="requires data strictly inside (0, 1)",
+        iterative=True,
+    ),
+    Family.Q_GAUSSIAN: _Spec(
+        names=("tail", "width"),
+        rules=((lambda t, w: t > 1, "tail exponent > 1"), (lambda t, w: w > 0, "width > 0")),
+        log_density=lambda x, t, w: _qgaussian_log_norm(t, w) - 0.5 * t * np.log1p((x / w) ** 2),
+        survival=lambda x, t, w: special.stdtr(t - 1.0, -x * math.sqrt(t - 1.0) / w),
+        draw=lambda rng, n, t, w: rng.standard_t(t - 1.0, n) * (w / math.sqrt(t - 1.0)),
+        score=lambda x, t, w: _qgaussian_score_hessian(x, t, w)[0],
+        fit=_fit_qgaussian,
+        iterative=True,
+        scaled=True,
+    ),
+    Family.EXPONENTIAL: _Spec(
+        names=("scale",),
+        rules=((lambda tau: tau > 0, "scale > 0"),),
+        log_density=lambda x, tau: -math.log(tau) - x / tau,
+        survival=lambda x, tau: np.exp(-x / tau),
+        draw=lambda rng, n, tau: rng.exponential(tau, n),
+        score=lambda x, tau: np.array([-x.size / tau + float(x.sum()) / tau**2]),
+        fit=_fit_exponential,
+        support=(0.0, math.inf),
+        closed_below=True,
+        support_reason="requires non-negative data",
+    ),
+    Family.PARETO: _Spec(
+        names=("shape",),
+        rules=((lambda alpha: alpha > 0, "shape > 0"),),
+        log_density=lambda x, alpha: math.log(alpha) - (alpha + 1.0) * np.log(x),
+        survival=lambda x, alpha: x ** (-alpha),
+        draw=lambda rng, n, alpha: rng.pareto(alpha, n) + 1.0,
+        score=lambda x, alpha: np.array([x.size / alpha - float(np.log(x).sum())]),
+        fit=_fit_pareto,
+        support=(1.0, math.inf),
+        closed_below=True,
+        support_reason="requires data >= 1",
+    ),
 }

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bootstrap import BootstrapConfig, ConfidenceInterval, bootstrap_ci
-from .distributions import Family, ParametricModel, SupportError, fit_mle, sample_from
+from .distributions import Family, ParametricModel, fit_mle, sample_from, support_problem
 from .divergence import EsjsFactor, _step_sum, esjs, esjs_factor
 from .seeds import derive_seed
 from .survival import SortedSample, _snap_up, empirical_survival, km_binned_survival
@@ -23,7 +23,6 @@ __all__ = [
     "FitReport",
     "ExperimentReport",
     "ScalingRow",
-    "support_problem",
     "fit_report",
     "compare_families",
     "simulate_experiment",
@@ -63,20 +62,6 @@ class ScalingRow:
     size: int
     params: tuple[float, ...]
     esjs: float
-
-
-def support_problem(family: Family, sample: SortedSample) -> str | None:
-    """Reason ``family`` cannot be fitted to ``sample``, or None if it can."""
-    lo, hi = sample.min, sample.max
-    if family in (Family.GAMMA, Family.WEIBULL, Family.LOG_NORMAL) and lo <= 0:
-        return "requires strictly positive data"
-    if family is Family.EXPONENTIAL and lo < 0:
-        return "requires non-negative data"
-    if family is Family.BETA and (lo <= 0 or hi >= 1):
-        return "requires data strictly inside (0, 1)"
-    if family is Family.PARETO and lo < 1:
-        return "requires data >= 1"
-    return None
 
 
 def _esjs_between(p: SortedSample, q: SortedSample, bins: int | None) -> float:
@@ -152,9 +137,6 @@ def fit_report(
     ``config.seed`` and the family name, so per-family results are
     reproducible in isolation.
     """
-    reason = support_problem(family, data)
-    if reason is not None:
-        raise SupportError(f"{family.value} {reason}")
     model = fit_mle(family, data)
     size = data.n if model_sample_size is None else model_sample_size
     model_seed = derive_seed(config.seed, "model", family.value)
@@ -282,7 +264,7 @@ def scaling_experiment(given: ParametricModel, sizes, seed: int) -> list[Scaling
         data = sample_from(given, size, derive_seed(seed, "data", size))
         model = fit_mle(given.family, data)
         model_sample = sample_from(model, size, derive_seed(seed, "model", size))
-        score = esjs(empirical_survival(model_sample), empirical_survival(data))
+        score = _esjs_between(model_sample, data, None)
         rows.append(ScalingRow(size=size, params=model.params, esjs=score))
     return rows
 

@@ -52,7 +52,7 @@ class SortedSample:
             raise ValueError("empty sample")
         if not np.all(np.isfinite(values)):
             raise ValueError("sample contains non-finite values")
-        if values.size > 1 and np.any(np.diff(values) < 0):
+        if np.any(values[1:] < values[:-1]):
             raise ValueError("sample values must be non-decreasing")
         object.__setattr__(self, "values", _frozen_array(values))
 

@@ -355,3 +355,60 @@ class TestRunScaling:
         with pytest.raises(SystemExit) as exc:
             run(["scaling", "--given", "normal:0,1", "--sizes", "1,2", "--seed", "9"])
         assert exc.value.code == 1
+
+
+# ties come from repeated draws of the sampled values
+FUZZ_VALUES = st.one_of(
+    st.sampled_from([0.0, 1.0, -1.0, 0.5, 5e-324, -5e-324, 2.2e-308, 1e300, -1e300]),
+    st.floats(-1e3, 1e3),
+)
+FUZZ_COLUMNS = st.one_of(
+    st.lists(FUZZ_VALUES, min_size=1, max_size=40),
+    # inside every support but pareto's, so that most fits and bootstraps run
+    st.lists(st.sampled_from([0.25, 0.5]) | st.floats(0.01, 0.99), min_size=1, max_size=40),
+)
+
+
+@st.composite
+def invocations(draw):
+    """A fit, compare or divergence command line and the CSV columns it reads."""
+    subcommand = draw(st.sampled_from(["fit", "compare", "divergence"]))
+    columns = {"p": draw(FUZZ_COLUMNS)}
+    if subcommand == "divergence":
+        columns["q"] = draw(FUZZ_COLUMNS)
+        argv = ["divergence", "--input-p", "p", "--input-q", "q"]
+    else:
+        argv = [subcommand, "--input", "p", "--seed", str(draw(st.integers(0, 2**32)))]
+        if subcommand == "fit":
+            argv += ["--family", draw(st.sampled_from(Family)).value]
+        else:
+            families = draw(st.lists(st.sampled_from(Family), min_size=1, max_size=9))
+            argv += ["--families", ",".join(f.value for f in families)]
+        argv += ["--bootstrap", str(draw(st.integers(1, 5)))]
+        block_length = draw(st.none() | st.integers(1, 10))
+        if block_length is not None:
+            argv += ["--block-length", str(block_length)]
+    bins = draw(st.none() | st.integers(1, 10**6))
+    argv += ["--raw"] if bins is None else ["--bins", str(bins)]
+    return argv, columns
+
+
+class TestFuzz:
+    @settings(max_examples=400)
+    @given(invocations())
+    def test_every_invocation_ends_in_an_exit_code(self, invocation):
+        argv, columns = invocation
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = {}
+            for name, values in columns.items():
+                paths[name] = os.path.join(tmp, f"{name}.csv")
+                with open(paths[name], "w", encoding="utf-8") as fh:
+                    fh.write("\n".join(map(repr, values)) + "\n")
+            argv = [paths.get(arg, arg) for arg in argv]
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                try:
+                    code = run(argv)
+                except SystemExit as exc:  # argparse: usage error
+                    code = exc.code
+        assert code in (0, 1, 2, 3), (argv, stderr.getvalue())

@@ -1,7 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from scipy import integrate
 
 from esjs import (
@@ -17,20 +20,39 @@ from esjs import (
     log_likelihood,
     log_likelihood_gradient,
     sample_from,
+    support_problem,
     survival_of,
 )
 
-SUPPORT_LOWER = {
-    Family.NORMAL: -np.inf,
-    Family.UNIFORM: None,  # taken from params
-    Family.LOG_NORMAL: 0.0,
-    Family.GAMMA: 0.0,
-    Family.WEIBULL: 0.0,
-    Family.BETA: 0.0,
-    Family.Q_GAUSSIAN: -np.inf,
-    Family.EXPONENTIAL: 0.0,
-    Family.PARETO: 1.0,
+# The supports, written out here apart from the library's family table:
+# (lower, lower included, upper, upper included).  A uniform model's support
+# is [lower, upper] from its params; the family itself takes any data.
+SUPPORT = {
+    Family.NORMAL: (-np.inf, False, np.inf, False),
+    Family.UNIFORM: (-np.inf, False, np.inf, False),
+    Family.LOG_NORMAL: (0.0, False, np.inf, False),
+    Family.GAMMA: (0.0, False, np.inf, False),
+    Family.WEIBULL: (0.0, False, np.inf, False),
+    Family.BETA: (0.0, False, 1.0, False),
+    Family.Q_GAUSSIAN: (-np.inf, False, np.inf, False),
+    Family.EXPONENTIAL: (0.0, True, np.inf, False),
+    Family.PARETO: (1.0, True, np.inf, False),
 }
+
+
+def inside(support, x):
+    lower, lower_in, upper, upper_in = support
+    x = np.asarray(x)
+    above_lower = x >= lower if lower_in else x > lower
+    below_upper = x <= upper if upper_in else x < upper
+    return above_lower & below_upper
+
+
+def model_support(model):
+    if model.family is Family.UNIFORM:
+        return (model.params[0], True, model.params[1], True)
+    return SUPPORT[model.family]
+
 
 REFERENCE_MODELS = [
     ParametricModel(Family.NORMAL, (0.3, 1.7)),
@@ -79,7 +101,7 @@ class TestDensity:
 
     @pytest.mark.parametrize("model", REFERENCE_MODELS, ids=lambda m: m.family.value)
     def test_all_densities_integrate_to_one(self, model):
-        lo = SUPPORT_LOWER[model.family]
+        lo = SUPPORT[model.family][0]
         if model.family is Family.UNIFORM:
             lo, hi = model.params
         elif model.family is Family.BETA:
@@ -117,7 +139,7 @@ class TestSurvival:
     @pytest.mark.parametrize("model", REFERENCE_MODELS, ids=lambda m: m.family.value)
     def test_complements_density_quadrature(self, model):
         # oracle: integrate the density from the support lower bound
-        lo = SUPPORT_LOWER[model.family]
+        lo = SUPPORT[model.family][0]
         if model.family is Family.UNIFORM:
             lo = model.params[0]
         elif lo == -np.inf:
@@ -266,20 +288,25 @@ class TestFitIterative:
                 assert rescaled.params[1] == pytest.approx(fitted.params[1] * factor, rel=1e-9)
 
     def test_qgaussian_where_the_moments_underflow(self):
-        # Below about 1e-154 the second moment squared underflows to 0.  The
-        # starts are then taken on the data rescaled to max |x| = 1, so a
-        # Student-t sample fits as it does at unit scale ...
-        student = np.sort(np.random.default_rng(4).standard_t(3.0, 1000))
-        fitted = fit_mle(Family.Q_GAUSSIAN, SortedSample(student))
-        tiny = fit_mle(Family.Q_GAUSSIAN, SortedSample(student * 1e-160))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            # Below about 1e-154 the second moment squared underflows to 0.
+            # The starts are then taken on the data rescaled to max |x| = 1,
+            # so a Student-t sample fits as it does at unit scale ...
+            student = np.sort(np.random.default_rng(4).standard_t(3.0, 1000))
+            fitted = fit_mle(Family.Q_GAUSSIAN, SortedSample(student))
+            tiny = fit_mle(Family.Q_GAUSSIAN, SortedSample(student * 1e-160))
+            # ... and on repeated zeros, where the likelihood grows without
+            # bound as the width shrinks, the search fails with the typed
+            # error at every scale
+            for scale in (1.0, 1e-300):
+                with pytest.raises(ConvergenceError, match="width search ran to 0"):
+                    fit_mle(Family.Q_GAUSSIAN, SortedSample.from_data([0.0, 0.0, 0.0, scale]))
         assert tiny.params[0] == pytest.approx(fitted.params[0], rel=1e-9)
         assert tiny.params[1] == pytest.approx(fitted.params[1] * 1e-160, rel=1e-9)
-        # ... and on repeated zeros, where the likelihood grows without bound
-        # as the width shrinks, the search fails with the typed error at
-        # every scale
-        for scale in (1.0, 1e-300):
-            with pytest.raises(ConvergenceError, match="width search ran to 0"):
-                fit_mle(Family.Q_GAUSSIAN, SortedSample.from_data([0.0, 0.0, 0.0, scale]))
+        # the Hessian's overflow at 1e-160 and the diverging search at 0 are
+        # handled, not reported
+        assert [str(w.message) for w in caught] == []
 
     @pytest.mark.parametrize(
         "family, true_params",
@@ -331,6 +358,69 @@ class TestFitErrors:
     def test_tiny_samples_rejected(self):
         with pytest.raises(ValueError):
             fit_mle(Family.NORMAL, SortedSample.from_data([1.0]))
+
+
+# values on, one step beside and across every support bound, plus ties
+# (drawn repeatedly), negatives, subnormals and extremes
+EDGE_VALUES = st.one_of(
+    st.sampled_from(
+        [-1e300, -2.0, -1.0, -5e-324, 0.0, 5e-324, 1e-300, 0.5,
+         1.0 - 2.0**-53, 1.0, 1.0 + 2.0**-52, 2.0, 1e300]
+    ),
+    st.floats(-100.0, 100.0),
+)
+
+
+class TestOneSupport:
+    """Every reader of a family's support agrees with the written-out one."""
+
+    @given(family=st.sampled_from(Family), values=st.lists(EDGE_VALUES, min_size=1, max_size=8))
+    @example(family=Family.EXPONENTIAL, values=[0.0, 1.0])
+    @example(family=Family.PARETO, values=[1.0, 2.0])
+    @example(family=Family.GAMMA, values=[0.0, 1.0])
+    @example(family=Family.BETA, values=[0.5, 1.0])
+    def test_fit_raises_support_error_exactly_when_support_problem_reports(
+        self, family, values
+    ):
+        sample = SortedSample.from_data(values)
+        problem = support_problem(family, sample)
+        assert (problem is None) == bool(np.all(inside(SUPPORT[family], sample.values)))
+        try:
+            fit_mle(family, sample)
+        except SupportError as exc:
+            assert problem is not None
+            assert str(exc) == f"{family.value} {problem}"
+        except (ValueError, ArithmeticError, ConvergenceError):
+            assert problem is None
+        else:
+            assert problem is None
+
+    @given(
+        model=st.sampled_from(REFERENCE_MODELS),
+        values=st.lists(EDGE_VALUES, min_size=1, max_size=8),
+    )
+    def test_density_and_survival_outside_the_support(self, model, values):
+        support = model_support(model)
+        lower, _, upper, _ = support
+        x = np.array(values)
+        out = ~inside(support, x)
+        assert np.all(density(model, x)[out] == 0.0)
+        surv = survival_of(model, x)
+        assert np.all(surv[x <= lower] == 1.0)
+        assert np.all(surv[x >= upper] == 0.0)
+        assert np.all((surv >= 0.0) & (surv <= 1.0))
+
+    @pytest.mark.parametrize("model", REFERENCE_MODELS, ids=lambda m: m.family.value)
+    def test_density_at_the_support_bounds(self, model):
+        # positive on a bound the support includes, 0 on one it excludes
+        lower, lower_in, upper, upper_in = model_support(model)
+        for bound, included in ((lower, lower_in), (upper, upper_in)):
+            if math.isfinite(bound):
+                assert (density(model, bound) > 0.0) == included
+
+    @given(model=st.sampled_from(REFERENCE_MODELS), seed=st.integers(0, 2**32 - 1))
+    def test_draws_lie_inside_the_support(self, model, seed):
+        assert np.all(inside(model_support(model), sample_from(model, 200, seed).values))
 
 
 class TestFamilyParsing:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -37,6 +38,14 @@ class TestSortedSample:
         s = SortedSample.from_data([3, 1, 2])
         assert list(s.values) == [1.0, 2.0, 3.0]
         assert (s.n, s.min, s.max) == (3, 1.0, 3.0)
+
+    def test_order_check_does_not_overflow(self):
+        # neighbours 2e308 apart: checking the order by subtracting them overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert list(SortedSample.from_data([1e308, -1e308]).values) == [-1e308, 1e308]
+            with pytest.raises(ValueError, match="non-decreasing"):
+                SortedSample([1e308, -1e308])
 
     def test_values_are_immutable(self):
         s = SortedSample.from_data([1, 2])
