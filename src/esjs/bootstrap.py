@@ -152,17 +152,19 @@ def replicate_values(statistic, data, config: BootstrapConfig, workers: int = 1)
     return np.asarray(reps, dtype=np.float64)
 
 
-def bootstrap_ci(statistic, data, config: BootstrapConfig, workers: int = 1) -> ConfidenceInterval:
+def bootstrap_ci(
+    statistic, data, config: BootstrapConfig, workers: int = 1, point: float | None = None
+) -> ConfidenceInterval:
     """Bootstrap confidence interval for ``statistic`` on ``data``.
 
     Percentile method (default): interval endpoints are the nearest-rank
     quantiles of the replicate distribution at (1-level)/2 and (1+level)/2.
     Basic method: the percentile interval reflected about the point
-    estimate, (2*point - hi, 2*point - lo).
+    estimate, (2*point - hi, 2*point - lo).  ``point`` is the statistic on
+    ``data`` when the caller has it already; by default it is computed here.
     """
-    comps = _components(data)
     reps = replicate_values(statistic, data, config, workers=workers)
-    point = float(statistic(*comps))
+    point = float(statistic(*_components(data)) if point is None else point)
     lo_q = (1.0 - config.level) / 2.0
     hi_q = (1.0 + config.level) / 2.0
     lo = percentile_of_replicates(reps, lo_q)

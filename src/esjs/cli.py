@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv as csv_module
+import io
 import json
 import math
 import sys
@@ -48,8 +49,21 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _is_index(column: str) -> bool:
-    return column.isdigit()
+def _select(first: list[str], column: str) -> tuple[int, int] | None:
+    """The selected field's index and the first data row's, from the fields
+    of the first row; None when the header has no column of that name."""
+    if column.isdigit():
+        idx = int(column)
+        probe = first[idx].strip() if len(first) > idx else ""
+        try:
+            float(probe)
+        except ValueError:
+            return idx, 1  # header row
+        return idx, 0
+    header = [cell.strip() for cell in first]
+    if column not in header:
+        return None
+    return header.index(column), 1
 
 
 def read_csv_column(path: str, column: str = "0") -> np.ndarray:
@@ -62,28 +76,83 @@ def read_csv_column(path: str, column: str = "0") -> np.ndarray:
     infinite or overflowing values are hard errors naming the line.
     """
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            rows = list(csv_module.reader(fh))
+        with open(path, "rb") as fh:
+            raw = fh.read()
     except OSError as exc:
         raise CsvError(f"cannot read {path}: {exc}") from exc
+    values = _read_plain(raw, column)
+    if values is None:
+        values = _read_with_csv_module(raw, path, column)
+    return values
+
+
+def _read_plain(raw: bytes, column: str) -> np.ndarray | None:
+    """The column of a file with no quoting and no gaps, or None.
+
+    Such a file splits into the same rows and fields as ``csv.reader`` reads
+    from it, and ``float`` strips the whitespace around a field itself, so
+    the values are bit for bit those of ``_read_with_csv_module``.  Anything
+    else gives None, and the csv module then reads the file and reports the
+    problem: quotes, NUL (which Python 3.10's csv module rejects), a lone
+    carriage return, a line that may pass the csv module's field limit, a
+    blank or missing field, a non-number, a non-finite value, an unknown
+    column name, a blank first line, or bytes that are not UTF-8.
+    """
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    if not text or '"' in text or "\0" in text:
+        return None
+    if "\r" in text and text.count("\r") != text.count("\r\n"):
+        return None
+    # A line longer than the field limit holds a whole aligned window of
+    # half that length, so a line break in every such window rules it out.
+    window = max(csv_module.field_size_limit() // 2, 1)
+    if any(text.find("\n", i, i + window) < 0
+           for i in range(0, len(text) - window + 1, window)):
+        return None
+    lines = text.split("\n")
+    del text
+    if lines[-1] == "":
+        lines.pop()
+    if lines[0] in ("", "\r"):
+        return None  # csv.reader reads no field at all from a blank line
+    first = lines[0].split(",")
+    selected = _select(first, column)
+    if selected is None:
+        return None
+    idx, start = selected
+    del lines[:start]
+    if not lines:
+        return None
+    if len(first) > 1 or idx > 0:
+        fields = (line.split(",")[idx] for line in lines)
+    else:
+        fields = lines  # no delimiter in the first line: each line is one field
+    try:
+        values = np.fromiter(map(float, fields), dtype=np.float64, count=len(lines))
+    except (ValueError, IndexError):
+        return None
+    return values if np.isfinite(values).all() else None
+
+
+def _read_with_csv_module(raw: bytes, path: str, column: str) -> np.ndarray:
+    """Read the column through ``csv.reader``: quoted fields, gaps and errors."""
+    with io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline="") as fh:
+        reader = csv_module.reader(fh)
+        try:
+            rows = list(reader)
+        except csv_module.Error as exc:
+            raise CsvError(f"{path}: line {reader.line_num}: {exc}") from exc
     if not rows:
         raise CsvError(f"{path}: empty file")
 
-    if _is_index(column):
-        idx = int(column)
-        start = 0
-        first = rows[0]
-        probe = first[idx].strip() if len(first) > idx else ""
-        try:
-            float(probe)
-        except ValueError:
-            start = 1  # header row
-    else:
+    selected = _select(rows[0], column)
+    if selected is None:
         header = [cell.strip() for cell in rows[0]]
-        if column not in header:
-            raise CsvError(f"{path}: no column named {column!r} in header {header}")
-        idx = header.index(column)
-        start = 1
+        raise CsvError(f"{path}: no column named {column!r} in header {header}")
+    idx, start = selected
 
     values: list[float] = []
     missing: list[int] = []

@@ -308,11 +308,16 @@ def _beta_score(x: np.ndarray, a: float, b: float) -> np.ndarray:
 
 
 def _fit_normal(x: np.ndarray) -> tuple[float, float]:
-    mu = float(x.mean())
-    sd = float(np.sqrt(np.mean((x - mu) ** 2)))
+    # In units of 2**e, the largest |x| lies in [0.5, 1), so the squared
+    # deviations cannot overflow.  Scaling by a power of two is exact unless a
+    # value goes subnormal, so the fit is that of the data as given.
+    e = math.frexp(max(-x[0], x[-1]))[1]
+    y = np.ldexp(x, -e)
+    mu = float(y.mean())
+    sd = float(np.sqrt(np.mean((y - mu) ** 2)))
     if sd == 0:
         raise ValueError("normal fit requires a non-constant sample")
-    return mu, sd
+    return math.ldexp(mu, e), math.ldexp(sd, e)
 
 
 def _fit_uniform(x: np.ndarray) -> tuple[float, float]:

@@ -150,6 +150,7 @@ def fit_report(
         (model_pos, data_pos),
         ci_config,
         workers=workers,
+        point=score,
     )
     return FitReport(
         family=family,

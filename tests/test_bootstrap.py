@@ -104,6 +104,21 @@ class TestBootstrapCi:
         assert basic.lb == pytest.approx(2 * pct.point - pct.ub, rel=1e-12)
         assert basic.ub == pytest.approx(2 * pct.point - pct.lb, rel=1e-12)
 
+    def test_basic_method_reflects_about_a_given_point(self):
+        data = np.random.default_rng(14).normal(size=250)
+        pct = bootstrap_ci(np.mean, data, BootstrapConfig(resamples=100, seed=21))
+        calls = []
+
+        def mean(d):
+            calls.append(d.size)
+            return float(np.mean(d))
+
+        config = BootstrapConfig(resamples=100, seed=21, ci_method="basic")
+        given = bootstrap_ci(mean, data, config, point=10.0)
+        assert len(calls) == config.resamples  # the replicates only
+        assert given.point == 10.0
+        assert (given.lb, given.ub) == (20.0 - pct.ub, 20.0 - pct.lb)
+
     def test_multiple_components_resampled_independently(self):
         a = np.zeros(50)
         b = np.ones(50)

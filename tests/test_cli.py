@@ -5,12 +5,14 @@ import os
 import subprocess
 import sys
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import esjs.cli
 import esjs.gof
 from esjs import (
     ConvergenceError,
@@ -102,6 +104,84 @@ class TestIngestCsv:
         path = write(tmp_path, "k.csv", "a,b\n1,2\n")
         with pytest.raises(CsvError, match="no column named"):
             ingest_csv(path, column="c")
+
+    def test_regular_files_skip_the_csv_module(self, tmp_path):
+        path = write(tmp_path, "l.csv", "t, value \r\n0, 5.5\r\n1,-4\r\n")
+        with mock.patch.object(esjs.cli, "_read_with_csv_module", side_effect=AssertionError):
+            assert list(read_csv_column(path, "value")) == [5.5, -4.0]
+            assert list(read_csv_column(path, "0")) == [0.0, 1.0]
+
+    def test_oversized_field_is_a_data_error(self, tmp_path):
+        path = write(tmp_path, "big.csv", "v\n" + "0" * 199_999 + "1\n")
+        proc = run_process("fit", "--input", path, "--family", "normal", "--seed", "1")
+        assert proc.returncode == 2
+        assert proc.stderr == (
+            f"esjs: data error: {path}: line 2: field larger than field limit (131072)\n"
+        )
+
+
+NUMBER_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10**20, 10**20).map(str),
+)
+# What sends the plain reader to the csv module, and spellings float() takes;
+# "\udcff" is written as the byte 0xff, "5,6" makes a row ragged
+ODD_CELLS = st.sampled_from([
+    "", " ", "1e309", "-1e309", "nan", "-0.0", "1_0", "infinity",
+    " 2.5", "3.5\t", "\x0c4", "\xa05", "5,6", '"5"', '"6,7"', '"8\n9"', 'a"b', "1\x00",
+    "\udcff", "0" * 199_999 + "1",
+])
+
+
+@st.composite
+def csv_files(draw):
+    """Bytes of a CSV file: numeric rows, maybe a header, a few odd cells and
+    line endings."""
+    width = draw(st.integers(1, 3))
+    rows = draw(st.lists(st.lists(NUMBER_CELLS, min_size=width, max_size=width),
+                         min_size=1, max_size=8))
+    if draw(st.booleans()):
+        rows.insert(0, draw(st.lists(st.sampled_from(["v", "w", " w ", "x"]),
+                                     min_size=width, max_size=width)))
+    for _ in range(draw(st.integers(0, 3))):
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        row[draw(st.integers(0, width - 1))] = draw(ODD_CELLS)
+    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    ends = [draw(st.sampled_from([ending] * 4 + ["\n", "\r\n", "\r"])) for _ in rows]
+    if draw(st.booleans()):
+        ends[-1] = ""
+    text = "".join(",".join(row) + end for row, end in zip(rows, ends))
+    return text.encode("utf-8", "surrogateescape")
+
+
+def _read_outcome(path, column):
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        try:
+            result = read_csv_column(path, column).tobytes()
+        except (CsvError, UnicodeDecodeError) as exc:
+            result = (type(exc), str(exc))
+    return result, stderr.getvalue()
+
+
+class TestIngestPaths:
+    @settings(max_examples=300, deadline=None)
+    @given(csv_files(), st.sampled_from(["0", "1", "2", "v", "w", ""]))
+    @example(b'"1"\n2\n', "0")
+    @example(b'"a,b",5,6\n1,2,3\n', "2")
+    @example(b"1\r\n\r2\n", "0")
+    @example(b"v\r1\n2\n", "0")
+    @example(b"v\n" + b"0" * 199_999 + b"1\n", "v")
+    @example(b"\n1\n", "")
+    def test_plain_path_agrees_with_the_csv_module(self, content, column):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "x.csv")
+            with open(path, "wb") as fh:
+                fh.write(content)
+            shipped = _read_outcome(path, column)
+            with mock.patch.object(esjs.cli, "_read_plain", return_value=None):
+                csv_module_only = _read_outcome(path, column)
+        assert shipped == csv_module_only
 
 
 def _simulate_argv(extra=()):

@@ -217,6 +217,12 @@ class TestFitClosedForm:
         model = fit_mle(Family.PARETO, SortedSample.from_data([e, e, e]))
         assert model.params[0] == pytest.approx(1.0, rel=1e-12)
 
+    def test_normal_where_the_squared_deviations_overflow(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = fit_mle(Family.NORMAL, SortedSample.from_data([-1e300, 1e300]))
+        assert model.params == (0.0, 1e300)
+
     def test_uniform_takes_extremes(self):
         model = fit_mle(Family.UNIFORM, SortedSample.from_data([0.2, 0.9, 0.4]))
         assert model.params == (0.2, 0.9)
