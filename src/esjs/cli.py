@@ -80,13 +80,18 @@ def read_csv_column(path: str, column: str = "0") -> np.ndarray:
             raw = fh.read()
     except OSError as exc:
         raise CsvError(f"cannot read {path}: {exc}") from exc
-    values = _read_plain(raw, column)
-    if values is None:
-        values = _read_with_csv_module(raw, path, column)
-    return values
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise CsvError(f"{path}: line {line}: byte 0x{raw[exc.start]:02x} at offset "
+                       f"{exc.start} is not UTF-8 ({exc.reason})") from exc
+    del raw
+    values = _read_plain(text, column)
+    return _read_with_csv_module(text, path, column) if values is None else values
 
 
-def _read_plain(raw: bytes, column: str) -> np.ndarray | None:
+def _read_plain(text: str, column: str) -> np.ndarray | None:
     """The column of a file with no quoting and no gaps, or None.
 
     Such a file splits into the same rows and fields as ``csv.reader`` reads
@@ -96,12 +101,8 @@ def _read_plain(raw: bytes, column: str) -> np.ndarray | None:
     problem: quotes, NUL (which Python 3.10's csv module rejects), a lone
     carriage return, a line that may pass the csv module's field limit, a
     blank or missing field, a non-number, a non-finite value, an unknown
-    column name, a blank first line, or bytes that are not UTF-8.
+    column name, or a blank first line.
     """
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError:
-        return None
     if not text or '"' in text or "\0" in text:
         return None
     if "\r" in text and text.count("\r") != text.count("\r\n"):
@@ -113,7 +114,6 @@ def _read_plain(raw: bytes, column: str) -> np.ndarray | None:
            for i in range(0, len(text) - window + 1, window)):
         return None
     lines = text.split("\n")
-    del text
     if lines[-1] == "":
         lines.pop()
     if lines[0] in ("", "\r"):
@@ -137,14 +137,13 @@ def _read_plain(raw: bytes, column: str) -> np.ndarray | None:
     return values if np.isfinite(values).all() else None
 
 
-def _read_with_csv_module(raw: bytes, path: str, column: str) -> np.ndarray:
+def _read_with_csv_module(text: str, path: str, column: str) -> np.ndarray:
     """Read the column through ``csv.reader``: quoted fields, gaps and errors."""
-    with io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline="") as fh:
-        reader = csv_module.reader(fh)
-        try:
-            rows = list(reader)
-        except csv_module.Error as exc:
-            raise CsvError(f"{path}: line {reader.line_num}: {exc}") from exc
+    reader = csv_module.reader(io.StringIO(text, newline=""))
+    try:
+        rows = list(reader)
+    except csv_module.Error as exc:
+        raise CsvError(f"{path}: line {reader.line_num}: {exc}") from exc
     if not rows:
         raise CsvError(f"{path}: empty file")
 

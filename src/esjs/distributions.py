@@ -28,13 +28,14 @@ t - 1 degrees of freedom, centred at zero.
 
 Closed-form maximum likelihood is used where available (normal, uniform,
 lognormal, exponential, pareto); gamma, weibull, beta and qgaussian are
-fitted by Newton iteration on the analytic score and are required to finish
-with score norm <= 1e-6.  The norm is taken in the (shape, log-scale)
-parameterisation: the scale component of the score (gamma and weibull
-scale, qgaussian width) is multiplied by its parameter, so the check gives
-the same verdict whatever the units of the data.  This check is the only
-convergence verdict; the qgaussian fitter's own search stops on the
-absolute score but does not judge convergence.
+fitted by Newton iteration on the analytic score and must finish with score
+norm <= 1e-6, the scale component (gamma and weibull scale, qgaussian width)
+multiplied by its parameter; that check is the only convergence verdict.
+Fits run in units of 2^e: the data of a family whose parameters carry their
+units are divided by the power of two that puts max |x| in [0.5, 1), which
+is exact unless a value goes subnormal, fitted and checked there, and those
+parameters multiplied back.  So neither overflow nor the verdict depends on
+the data's units, and fits to data times 2^k are the same fits, bit for bit.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import optimize, special
+from scipy import special
 
 from .survival import SortedSample
 
@@ -129,10 +130,10 @@ class _Spec:
     closed_below: bool = False
     #: what the skip reason says when data leave the support
     support_reason: str | None = None
-    #: the fit must end with score norm <= _SCORE_TOL ...
+    #: the fit must end with score norm <= _SCORE_TOL (scaled as below)
     iterative: bool = False
-    #: ... with the second component multiplied by the second (scale) parameter
-    scaled: bool = False
+    #: parameters in the data's units: fitted in units of 2^e, score scaled by them
+    units: tuple[int, ...] = ()
 
     def outside(self, x):
         """True where ``x`` lies outside the support."""
@@ -241,10 +242,10 @@ def fit_mle(family: Family, sample: SortedSample) -> ParametricModel:
     Raises :class:`SupportError` when the data violate the family's support
     (the message is the family name and :func:`support_problem`'s reason)
     and :class:`ConvergenceError` when an iterative fit fails to reach score
-    norm <= 1e-6 in the (shape, log-scale) parameterisation, that is with
-    the scale component of the score multiplied by the scale parameter.
-    In that parameterisation the score is unchanged when the data are
-    multiplied by a constant, so the check does not depend on their units.
+    norm <= 1e-6, the scale component of the score multiplied by the scale.
+    Fit and check run in units of 2^e: e puts max |x| in [0.5, 1) (where 0
+    is outside the support, no further down than keeps min x normal), so
+    neither depends on the data's units; messages quote the data's units.
     """
     reason = support_problem(family, sample)
     if reason is not None:
@@ -252,11 +253,20 @@ def fit_mle(family: Family, sample: SortedSample) -> ParametricModel:
     if sample.n < 2:
         raise ValueError("maximum-likelihood fitting requires n >= 2")
     spec = _FAMILIES[family]
-    model = ParametricModel(family, spec.fit(sample.values))
+    x, e = sample.values, 0
+    if spec.units:
+        e = math.frexp(max(-x[0], x[-1]))[1]
+        if spec.outside(0.0):  # scale down no further than keeps min x normal, for its log
+            e = min(e, max(math.frexp(x[0])[1] + 1021, 0))
+        x = np.ldexp(x, -e)
+    params = spec.fit(x)
+    shift = [e if i in spec.units else 0 for i in range(len(params))]
+    with np.errstate(over="ignore"):  # ParametricModel rejects a parameter past float64
+        model = ParametricModel(family, np.ldexp(params, shift))
     if spec.iterative:
-        score = spec.score(sample.values, *model.params)
-        if spec.scaled:
-            score[1] *= model.params[1]
+        score = spec.score(x, *params)
+        for i in spec.units:
+            score[i] *= params[i]
         norm = float(np.linalg.norm(score))
         if not norm <= _SCORE_TOL:
             raise ConvergenceError(
@@ -267,14 +277,14 @@ def fit_mle(family: Family, sample: SortedSample) -> ParametricModel:
 
 
 def _normal_log_density(x: np.ndarray, mu: float, sd: float) -> np.ndarray:
-    z = (x - mu) / sd
-    return -0.5 * z * z - math.log(sd) - _HALF_LOG_2PI
+    with np.errstate(over="ignore"):  # -inf is the correctly rounded value there
+        z = (x - mu) / sd
+        return -0.5 * z * z - math.log(sd) - _HALF_LOG_2PI
 
 
 def _lognormal_log_density(x: np.ndarray, mu: float, sd: float) -> np.ndarray:
     lx = np.log(x)
-    z = (lx - mu) / sd
-    return -lx - math.log(sd) - _HALF_LOG_2PI - 0.5 * z * z
+    return _normal_log_density(lx, mu, sd) - lx
 
 
 def _normal_score(d: np.ndarray, sd: float) -> np.ndarray:
@@ -308,16 +318,11 @@ def _beta_score(x: np.ndarray, a: float, b: float) -> np.ndarray:
 
 
 def _fit_normal(x: np.ndarray) -> tuple[float, float]:
-    # In units of 2**e, the largest |x| lies in [0.5, 1), so the squared
-    # deviations cannot overflow.  Scaling by a power of two is exact unless a
-    # value goes subnormal, so the fit is that of the data as given.
-    e = math.frexp(max(-x[0], x[-1]))[1]
-    y = np.ldexp(x, -e)
-    mu = float(y.mean())
-    sd = float(np.sqrt(np.mean((y - mu) ** 2)))
+    mu = float(x.mean())
+    sd = float(np.sqrt(np.mean((x - mu) ** 2)))
     if sd == 0:
         raise ValueError("normal fit requires a non-constant sample")
-    return math.ldexp(mu, e), math.ldexp(sd, e)
+    return mu, sd
 
 
 def _fit_uniform(x: np.ndarray) -> tuple[float, float]:
@@ -350,6 +355,22 @@ def _fit_pareto(x: np.ndarray) -> tuple[float]:
     return (x.size / slog,)
 
 
+def _solve_shape(family: str, k: float, f_and_fprime) -> float:
+    """Newton from ``k`` on the shape equation f(k) = 0, kept to k > 0."""
+    for _ in range(_MAX_ITER):
+        f, fp = f_and_fprime(k)
+        if abs(f) <= 1e-13:
+            return k
+        step = f / fp
+        while k - step <= 0:
+            step *= 0.5
+        k_next = k - step
+        if abs(k_next - k) <= 1e-15 * max(1.0, abs(k)):
+            return k_next
+        k = k_next
+    raise ConvergenceError(f"{family} shape iteration did not converge (shape={k:.6g})")
+
+
 def _fit_gamma(x: np.ndarray) -> tuple[float, float]:
     mean = float(x.mean())
     s = math.log(mean) - float(np.log(x).mean())
@@ -357,59 +378,33 @@ def _fit_gamma(x: np.ndarray) -> tuple[float, float]:
         raise ValueError("gamma fit requires a non-constant sample")
     # log-moment initialisation, then Newton on log k - digamma(k) = s
     k = (3.0 - s + math.sqrt((s - 3.0) ** 2 + 24.0 * s)) / (12.0 * s)
-    for _ in range(_MAX_ITER):
-        f = math.log(k) - float(special.digamma(k)) - s
-        if abs(f) <= 1e-13:
-            break
-        fp = 1.0 / k - float(special.polygamma(1, k))
-        step = f / fp
-        k_next = k - step
-        while k_next <= 0:
-            step *= 0.5
-            k_next = k - step
-        if abs(k_next - k) <= 1e-15 * max(1.0, abs(k)):
-            k = k_next
-            break
-        k = k_next
-    else:
-        raise ConvergenceError(f"gamma shape iteration did not converge (shape={k:.6g})")
+    k = _solve_shape("gamma", k, lambda k: (
+        math.log(k) - float(special.digamma(k)) - s, 1.0 / k - float(special.polygamma(1, k))
+    ))
     return k, mean / k
 
 
 def _fit_weibull(x: np.ndarray) -> tuple[float, float]:
-    lx = np.log(x)
-    sd_lx = float(lx.std())
+    sd_lx = float(np.log(x).std())
     if sd_lx == 0:
         raise ValueError("weibull fit requires a non-constant sample")
-    # log-variance moment initialisation; shape equation solved on data
-    # normalised by the sample maximum (the equation is scale-free).
-    k = math.pi / (math.sqrt(6.0) * sd_lx)
+    # The shape equation is scale-free; it is solved on the data divided by
+    # their maximum, which keeps sum(y^k) >= 1 whatever the shape.
     top = float(x[-1])
     y = x / top
+    if y[0] == 0:
+        raise ConvergenceError("weibull fit: the data span more than float64's range")
     ly = np.log(y)
     mean_ly = float(ly.mean())
-    for _ in range(_MAX_ITER):
+
+    def f_and_fprime(k):
         w = y**k
-        sw = float(w.sum())
-        swl = float((w * ly).sum())
-        f = swl / sw - 1.0 / k - mean_ly
-        if abs(f) <= 1e-13:
-            break
-        swll = float((w * ly * ly).sum())
-        fp = (swll * sw - swl * swl) / (sw * sw) + 1.0 / (k * k)
-        step = f / fp
-        k_next = k - step
-        while k_next <= 0:
-            step *= 0.5
-            k_next = k - step
-        if abs(k_next - k) <= 1e-15 * max(1.0, abs(k)):
-            k = k_next
-            break
-        k = k_next
-    else:
-        raise ConvergenceError(f"weibull shape iteration did not converge (shape={k:.6g})")
-    tau = top * float(np.mean(y**k)) ** (1.0 / k)
-    return k, tau
+        sw, swl, swll = float(w.sum()), float((w * ly).sum()), float((w * ly * ly).sum())
+        return swl / sw - 1.0 / k - mean_ly, (swll * sw - swl * swl) / (sw * sw) + 1.0 / (k * k)
+
+    # log-variance moment initialisation
+    k = _solve_shape("weibull", math.pi / (math.sqrt(6.0) * sd_lx), f_and_fprime)
+    return k, top * float(np.mean(y**k)) ** (1.0 / k)
 
 
 def _fit_beta(x: np.ndarray) -> tuple[float, float]:
@@ -450,16 +445,22 @@ def _fit_beta(x: np.ndarray) -> tuple[float, float]:
     return a, b
 
 
-def _qgaussian_sums(x: np.ndarray, w: float) -> tuple[float, float, float]:
-    # sums of log1p((x/w)^2), r = x^2/(w^2+x^2), and r(3-2r); overflow-safe
+def _qgaussian_terms(x: np.ndarray, w: float) -> tuple[np.ndarray, np.ndarray]:
+    # log1p((x/w)^2), as 2 (log|x| - log w) where (x/w)^2 overflows, and x^2/(w^2+x^2)
     with np.errstate(over="ignore", invalid="ignore"):
         z2 = (x / w) ** 2
-        u = np.log1p(z2)
         r = np.where(np.isfinite(z2), z2 / (1.0 + z2), 1.0)
+    u = np.log1p(z2)
     overflowed = ~np.isfinite(u)
     if np.any(overflowed):
         safe = np.where(overflowed, np.abs(x), 1.0)
         u = np.where(overflowed, 2.0 * (np.log(safe) - math.log(w)), u)
+    return u, r
+
+
+def _qgaussian_sums(x: np.ndarray, w: float) -> tuple[float, float, float]:
+    # sums of log1p((x/w)^2), r and r(3-2r)
+    u, r = _qgaussian_terms(x, w)
     return float(u.sum()), float(r.sum()), float((r * (3.0 - 2.0 * r)).sum())
 
 
@@ -500,11 +501,6 @@ def _qgaussian_starts(x: np.ndarray) -> list[tuple[float, float]]:
     starts = []
     m2 = float(np.mean(x * x))
     m4 = float(np.mean(x**4))
-    if m2 * m2 == 0.0:
-        # the moments underflow (say [0, 0, 0, 1e-300]); every start is
-        # scale-equivariant, so take them on the data rescaled to max |x| = 1
-        scale = float(np.max(np.abs(x)))
-        return [(t, w * scale) for t, w in _qgaussian_starts(x / scale)]
     kurt = m4 / (m2 * m2)
     if kurt > 3.0 + 1e-9:
         t0 = min(max((5.0 * kurt - 9.0) / (kurt - 3.0), 1.5), 1000.0)
@@ -527,6 +523,7 @@ def _qgaussian_starts(x: np.ndarray) -> list[tuple[float, float]]:
 def _fit_qgaussian(x: np.ndarray) -> tuple[float, float]:
     if np.all(x == x[0]):
         raise ValueError("qgaussian fit requires a non-constant sample")
+    from scipy import optimize  # imported here, its only use, to spare other runs its cost
 
     def quasi_newton(t0: float, w0: float) -> tuple[float, float]:
         # log parameters keep positivity without bounds or overflow
@@ -610,6 +607,7 @@ _FAMILIES = {
         draw=lambda rng, n, mu, sd: rng.normal(mu, sd, n),
         score=lambda x, mu, sd: _normal_score(x - mu, sd),
         fit=_fit_normal,
+        units=(0, 1),
     ),
     Family.UNIFORM: _Spec(
         names=("lower", "upper"),
@@ -644,7 +642,7 @@ _FAMILIES = {
         support=(0.0, math.inf),
         support_reason=_POSITIVE,
         iterative=True,
-        scaled=True,
+        units=(1,),
     ),
     Family.WEIBULL: _Spec(
         names=("shape", "scale"),
@@ -659,7 +657,7 @@ _FAMILIES = {
         support=(0.0, math.inf),
         support_reason=_POSITIVE,
         iterative=True,
-        scaled=True,
+        units=(1,),
     ),
     Family.BETA: _Spec(
         names=("alpha", "beta"),
@@ -680,13 +678,13 @@ _FAMILIES = {
     Family.Q_GAUSSIAN: _Spec(
         names=("tail", "width"),
         rules=((lambda t, w: t > 1, "tail exponent > 1"), (lambda t, w: w > 0, "width > 0")),
-        log_density=lambda x, t, w: _qgaussian_log_norm(t, w) - 0.5 * t * np.log1p((x / w) ** 2),
+        log_density=lambda x, t, w: _qgaussian_log_norm(t, w) - 0.5 * t * _qgaussian_terms(x, w)[0],
         survival=lambda x, t, w: special.stdtr(t - 1.0, -x * math.sqrt(t - 1.0) / w),
         draw=lambda rng, n, t, w: rng.standard_t(t - 1.0, n) * (w / math.sqrt(t - 1.0)),
         score=lambda x, t, w: _qgaussian_score_hessian(x, t, w)[0],
         fit=_fit_qgaussian,
         iterative=True,
-        scaled=True,
+        units=(1,),
     ),
     Family.EXPONENTIAL: _Spec(
         names=("scale",),
@@ -696,6 +694,7 @@ _FAMILIES = {
         draw=lambda rng, n, tau: rng.exponential(tau, n),
         score=lambda x, tau: np.array([-x.size / tau + float(x.sum()) / tau**2]),
         fit=_fit_exponential,
+        units=(0,),
         support=(0.0, math.inf),
         closed_below=True,
         support_reason="requires non-negative data",

@@ -213,6 +213,7 @@ def survival_entropy(sample: SortedSample) -> float:
     n = sample.n
     if n == 1:
         return 0.0
-    gaps = np.diff(sample.values)
+    e = math.frexp(max(-sample.min, sample.max))[1]  # gaps in units of 2^e cannot overflow
+    gaps = np.diff(np.ldexp(sample.values, -e))
     tail = 1.0 - np.arange(1, n) / n
-    return float(-np.sum(gaps * tail * np.log(tail))) + 0.0
+    return math.ldexp(float(-np.sum(gaps * tail * np.log(tail))), e) + 0.0

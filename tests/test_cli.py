@@ -119,6 +119,16 @@ class TestIngestCsv:
             f"esjs: data error: {path}: line 2: field larger than field limit (131072)\n"
         )
 
+    def test_undecodable_byte_names_its_line_and_offset(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"1\n" * 6000 + b"\xff")
+        proc = run_process("fit", "--input", str(path), "--family", "normal", "--seed", "1")
+        assert proc.returncode == 2
+        assert proc.stderr == (
+            f"esjs: data error: {path}: line 6001: byte 0xff at offset 12000 "
+            "is not UTF-8 (invalid start byte)\n"
+        )
+
 
 NUMBER_CELLS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False).map(repr),

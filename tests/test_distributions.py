@@ -3,9 +3,9 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy import integrate
+from scipy import integrate, special
 
 from esjs import (
     ConvergenceError,
@@ -206,6 +206,18 @@ class TestLogLikelihood:
         beta = ParametricModel(Family.BETA, (2.0, 2.0))
         assert log_likelihood(beta, SortedSample.from_data([0.4, 1.2])) == -np.inf
 
+    def test_far_tails_do_not_overflow(self):
+        # (x / w)^2 overflows at 1e300; inside the support the qgaussian
+        # log-density is finite, and the normal one's correctly rounded value
+        # is -inf
+        far = SortedSample.from_data([1e300])
+        qgaussian = ParametricModel(Family.Q_GAUSSIAN, (4.0, 1.0))
+        expected = math.lgamma(2.0) - math.lgamma(1.5) - 0.5 * math.log(math.pi)
+        expected -= 2.0 * 2.0 * math.log(1e300)
+        assert log_likelihood(qgaussian, far) == pytest.approx(expected, rel=1e-12)
+        assert expected == pytest.approx(-2763.55, abs=0.01)
+        assert log_likelihood(ParametricModel(Family.NORMAL, (0.0, 1.0)), far) == -np.inf
+
 
 class TestFitClosedForm:
     def test_exponential_mean(self):
@@ -222,6 +234,10 @@ class TestFitClosedForm:
             warnings.simplefilter("error")
             model = fit_mle(Family.NORMAL, SortedSample.from_data([-1e300, 1e300]))
         assert model.params == (0.0, 1e300)
+
+    def test_exponential_where_the_sum_overflows(self):
+        model = fit_mle(Family.EXPONENTIAL, SortedSample.from_data([1e308, 1.5e308]))
+        assert model.params == (1.25e308,)
 
     def test_uniform_takes_extremes(self):
         model = fit_mle(Family.UNIFORM, SortedSample.from_data([0.2, 0.9, 0.4]))
@@ -283,7 +299,7 @@ class TestFitIterative:
             # same in every unit of the data.
             (Family.GAMMA, beta.values, (1e-3, 1e3)),
             # The qgaussian search stops on the absolute score, which at x 1e-6
-            # is 1e6 times the unit-scale one; only the scaled check may judge.
+            # would be 1e6 times the unit-scale one; the fit runs in units of 2^e.
             (Family.Q_GAUSSIAN, student, (1e-6,)),
         ]
         for family, values, factors in cases:
@@ -294,25 +310,58 @@ class TestFitIterative:
                 assert rescaled.params[1] == pytest.approx(fitted.params[1] * factor, rel=1e-9)
 
     def test_qgaussian_where_the_moments_underflow(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            # Below about 1e-154 the second moment squared underflows to 0.
-            # The starts are then taken on the data rescaled to max |x| = 1,
-            # so a Student-t sample fits as it does at unit scale ...
-            student = np.sort(np.random.default_rng(4).standard_t(3.0, 1000))
-            fitted = fit_mle(Family.Q_GAUSSIAN, SortedSample(student))
-            tiny = fit_mle(Family.Q_GAUSSIAN, SortedSample(student * 1e-160))
-            # ... and on repeated zeros, where the likelihood grows without
-            # bound as the width shrinks, the search fails with the typed
-            # error at every scale
-            for scale in (1.0, 1e-300):
-                with pytest.raises(ConvergenceError, match="width search ran to 0"):
-                    fit_mle(Family.Q_GAUSSIAN, SortedSample.from_data([0.0, 0.0, 0.0, scale]))
-        assert tiny.params[0] == pytest.approx(fitted.params[0], rel=1e-9)
-        assert tiny.params[1] == pytest.approx(fitted.params[1] * 1e-160, rel=1e-9)
-        # the Hessian's overflow at 1e-160 and the diverging search at 0 are
-        # handled, not reported
-        assert [str(w.message) for w in caught] == []
+        # Below about 1e-154 the second moment squared underflows to 0, and
+        # below about 1e-155 the Hessian's w * w loses precision.  The fit
+        # runs in units of 2^e, so a Student-t sample fits as it does at
+        # unit scale ...
+        student = np.sort(np.random.default_rng(4).standard_t(3.0, 1000))
+        fitted = fit_mle(Family.Q_GAUSSIAN, SortedSample(student))
+        for factor in (1e-155, 1e-160, 1e-170):
+            tiny = fit_mle(Family.Q_GAUSSIAN, SortedSample(student * factor))
+            assert tiny.params[0] == pytest.approx(fitted.params[0], rel=1e-12)
+            assert tiny.params[1] == pytest.approx(fitted.params[1] * factor, rel=1e-12)
+        # ... and on repeated zeros, where the likelihood grows without
+        # bound as the width shrinks, the search fails with the typed error
+        # at every scale
+        for scale in (1.0, 1e-300):
+            with pytest.raises(ConvergenceError, match="width search ran to 0"):
+                fit_mle(Family.Q_GAUSSIAN, SortedSample.from_data([0.0, 0.0, 0.0, scale]))
+
+    @pytest.mark.parametrize(
+        "family, values, shape",
+        [
+            # the sum of the data overflows
+            (Family.GAMMA, [1e308, 1.5e308, 1.7e308], 20.6226),
+            # z = x / scale is subnormal, and the score once came out inf
+            (Family.WEIBULL, [1e-310, 2e-310, 5e-310], 1.66409),
+        ],
+    )
+    def test_fits_at_the_ends_of_the_float_range(self, family, values, shape):
+        model = fit_mle(family, SortedSample.from_data(values))
+        factor = values[0]
+        unit = fit_mle(family, SortedSample.from_data([v / factor for v in values]))
+        assert model.params[0] == pytest.approx(shape, rel=1e-5)
+        assert model.params[0] == pytest.approx(unit.params[0], rel=1e-9)
+        assert model.params[1] == pytest.approx(unit.params[1] * factor, rel=1e-9)
+
+    def test_data_wider_than_one_power_of_two_scale_holds(self):
+        values = [1e-300, 1e300]
+        # gamma keeps the least value normal, and its shape solves
+        # log k - digamma(k) = log(mean) - mean(log x) = log(5e299)
+        k, tau = fit_mle(Family.GAMMA, SortedSample.from_data(values)).params
+        assert math.log(k) - special.digamma(k) == pytest.approx(math.log(5e299), rel=1e-13)
+        assert tau == pytest.approx(5e299 / k, rel=1e-13)
+        # weibull divides by the maximum, where 1e-300 underflows to 0
+        with pytest.raises(ConvergenceError, match="more than float64's range"):
+            fit_mle(Family.WEIBULL, SortedSample.from_data(values))
+
+    def test_convergence_errors_quote_the_data_units(self):
+        # The shape equation is solved on the data divided by their maximum,
+        # so a sample with a spread of 1e-6 of its level fails with the typed
+        # error, not a division by zero, and names the scale in data units.
+        values = 1000.0 + 1e-3 * np.random.default_rng(1).weibull(2.0, 500)
+        with pytest.raises(ConvergenceError, match=r"weibull fit: .*, 1000\.001\d*\)"):
+            fit_mle(Family.WEIBULL, SortedSample.from_data(values))
 
     @pytest.mark.parametrize(
         "family, true_params",
@@ -341,6 +390,67 @@ class TestFitIterative:
                 - log_likelihood(ParametricModel(family, tuple(dn)), sample)
             ) / (2 * h)
             assert value == pytest.approx(fd, rel=1e-5, abs=1e-7)
+
+
+# the parameters that carry the data's units, written out here apart from
+# the library's family table
+UNITS = {
+    Family.NORMAL: (0, 1),
+    Family.EXPONENTIAL: (0,),
+    Family.GAMMA: (1,),
+    Family.WEIBULL: (1,),
+    Family.Q_GAUSSIAN: (1,),
+}
+
+
+def _fit_outcome(family, values):
+    """The fitted parameters, or the type of the error the fit raises."""
+    try:
+        return fit_mle(family, SortedSample.from_data(values)).params
+    except (ValueError, ArithmeticError, ConvergenceError) as exc:
+        return type(exc)
+
+
+class TestPowerOfTwoScaling:
+    @settings(max_examples=200)
+    @given(
+        family=st.sampled_from(list(UNITS)),
+        values=st.one_of(
+            # ties come from repeated draws of the sampled values
+            st.lists(
+                st.sampled_from([0.0, 1.0, -1.0]) | st.floats(-1e3, 1e3, allow_subnormal=False),
+                min_size=2,
+                max_size=12,
+            ),
+            # heavy-tailed samples, which the qgaussian fits
+            st.integers(0, 2**32 - 1).map(
+                lambda seed: np.random.default_rng(seed).standard_t(3.0, 40).tolist()
+            ),
+        ),
+        data=st.data(),
+    )
+    def test_fit_of_scaled_data_is_the_scaled_fit(self, family, values, data):
+        x = np.array(values)
+        if family is Family.GAMMA or family is Family.WEIBULL:
+            x = np.where(x == 0, 1.0, np.abs(x))  # inside the support
+        elif family is Family.EXPONENTIAL:
+            x = np.abs(x)
+        nonzero = np.abs(x[x != 0])
+        if nonzero.size:
+            # every k in [-1000, 1000] that keeps each x 2^k normal
+            lo = -1021 - math.frexp(float(nonzero.min()))[1]
+            hi = 1024 - math.frexp(float(nonzero.max()))[1]
+            k = data.draw(st.integers(max(lo, -1000), min(hi, 1000)))
+        else:
+            k = data.draw(st.integers(-1000, 1000))
+        unit = _fit_outcome(family, x)
+        scaled = _fit_outcome(family, np.ldexp(x, k))
+        if isinstance(unit, type):
+            assert scaled is unit
+        else:
+            assert scaled == tuple(
+                math.ldexp(p, k) if i in UNITS[family] else p for i, p in enumerate(unit)
+            )
 
 
 class TestFitErrors:
@@ -385,6 +495,7 @@ class TestOneSupport:
     @example(family=Family.PARETO, values=[1.0, 2.0])
     @example(family=Family.GAMMA, values=[0.0, 1.0])
     @example(family=Family.BETA, values=[0.5, 1.0])
+    @example(family=Family.GAMMA, values=[5e-324, 1e300])
     def test_fit_raises_support_error_exactly_when_support_problem_reports(
         self, family, values
     ):

@@ -207,6 +207,16 @@ class TestSurvivalEntropy:
             assert shifted == pytest.approx(base, rel=1e-9, abs=1e-12)
             assert scaled == pytest.approx(3.0 * base, rel=1e-12)
 
+    def test_gaps_past_the_largest_float(self):
+        # the gap 2e308 overflows float64, the entropy 1e308 log 2 does not
+        got = survival_entropy(SortedSample.from_data([-1e308, 1e308]))
+        assert got == pytest.approx(1e308 * math.log(2.0), rel=1e-15)
+        # at ordinary scale the power-of-two units change no bit
+        values = np.sort(np.random.default_rng(31).normal(3.0, 2.0, 1000))
+        tail = 1.0 - np.arange(1, values.size) / values.size
+        plain = float(-np.sum(np.diff(values) * tail * np.log(tail)))
+        assert survival_entropy(SortedSample(values)) == plain
+
 
 class TestStepSurvivalValidation:
     def test_rejects_bad_shapes(self):
