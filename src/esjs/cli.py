@@ -80,15 +80,13 @@ def read_csv_column(path: str, column: str = "0") -> np.ndarray:
             raw = fh.read()
     except OSError as exc:
         raise CsvError(f"cannot read {path}: {exc}") from exc
-    try:
-        text = raw.decode("utf-8")
+    try:  # _read_plain holds the only reference to the text, and drops it once split
+        values = _read_plain(raw.decode("utf-8"), column)
     except UnicodeDecodeError as exc:
         line = raw.count(b"\n", 0, exc.start) + 1
         raise CsvError(f"{path}: line {line}: byte 0x{raw[exc.start]:02x} at offset "
                        f"{exc.start} is not UTF-8 ({exc.reason})") from exc
-    del raw
-    values = _read_plain(text, column)
-    return _read_with_csv_module(text, path, column) if values is None else values
+    return _read_with_csv_module(raw, path, column) if values is None else values
 
 
 def _read_plain(text: str, column: str) -> np.ndarray | None:
@@ -114,6 +112,7 @@ def _read_plain(text: str, column: str) -> np.ndarray | None:
            for i in range(0, len(text) - window + 1, window)):
         return None
     lines = text.split("\n")
+    del text
     if lines[-1] == "":
         lines.pop()
     if lines[0] in ("", "\r"):
@@ -137,13 +136,14 @@ def _read_plain(text: str, column: str) -> np.ndarray | None:
     return values if np.isfinite(values).all() else None
 
 
-def _read_with_csv_module(text: str, path: str, column: str) -> np.ndarray:
+def _read_with_csv_module(raw: bytes, path: str, column: str) -> np.ndarray:
     """Read the column through ``csv.reader``: quoted fields, gaps and errors."""
-    reader = csv_module.reader(io.StringIO(text, newline=""))
-    try:
-        rows = list(reader)
-    except csv_module.Error as exc:
-        raise CsvError(f"{path}: line {reader.line_num}: {exc}") from exc
+    with io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline="") as fh:
+        reader = csv_module.reader(fh)
+        try:
+            rows = list(reader)
+        except csv_module.Error as exc:
+            raise CsvError(f"{path}: line {reader.line_num}: {exc}") from exc
     if not rows:
         raise CsvError(f"{path}: empty file")
 

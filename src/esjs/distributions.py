@@ -31,11 +31,10 @@ lognormal, exponential, pareto); gamma, weibull, beta and qgaussian are
 fitted by Newton iteration on the analytic score and must finish with score
 norm <= 1e-6, the scale component (gamma and weibull scale, qgaussian width)
 multiplied by its parameter; that check is the only convergence verdict.
-Fits run in units of 2^e: the data of a family whose parameters carry their
-units are divided by the power of two that puts max |x| in [0.5, 1), which
-is exact unless a value goes subnormal, fitted and checked there, and those
-parameters multiplied back.  So neither overflow nor the verdict depends on
-the data's units, and fits to data times 2^k are the same fits, bit for bit.
+Fits run in units of 2^e: data whose family's parameters carry their units
+are divided by the power of two that puts max |x| in [0.5, 1) (exact unless
+a value goes subnormal), fitted and checked there, and those parameters
+multiplied back, so fits to data times 2^k are the same fits, bit for bit.
 """
 
 from __future__ import annotations
@@ -258,7 +257,7 @@ def fit_mle(family: Family, sample: SortedSample) -> ParametricModel:
         e = math.frexp(max(-x[0], x[-1]))[1]
         if spec.outside(0.0):  # scale down no further than keeps min x normal, for its log
             e = min(e, max(math.frexp(x[0])[1] + 1021, 0))
-        x = np.ldexp(x, -e)
+        x = np.ldexp(x, -e) if e else x
     params = spec.fit(x)
     shift = [e if i in spec.units else 0 for i in range(len(params))]
     with np.errstate(over="ignore"):  # ParametricModel rejects a parameter past float64
@@ -284,7 +283,8 @@ def _normal_log_density(x: np.ndarray, mu: float, sd: float) -> np.ndarray:
 
 def _lognormal_log_density(x: np.ndarray, mu: float, sd: float) -> np.ndarray:
     lx = np.log(x)
-    return _normal_log_density(lx, mu, sd) - lx
+    z = (lx - mu) / sd
+    return -lx - math.log(sd) - _HALF_LOG_2PI - 0.5 * z * z
 
 
 def _normal_score(d: np.ndarray, sd: float) -> np.ndarray:
@@ -397,13 +397,12 @@ def _fit_weibull(x: np.ndarray) -> tuple[float, float]:
     ly = np.log(y)
     mean_ly = float(ly.mean())
 
-    def f_and_fprime(k):
+    def equation(k):
         w = y**k
         sw, swl, swll = float(w.sum()), float((w * ly).sum()), float((w * ly * ly).sum())
         return swl / sw - 1.0 / k - mean_ly, (swll * sw - swl * swl) / (sw * sw) + 1.0 / (k * k)
 
-    # log-variance moment initialisation
-    k = _solve_shape("weibull", math.pi / (math.sqrt(6.0) * sd_lx), f_and_fprime)
+    k = _solve_shape("weibull", math.pi / (math.sqrt(6.0) * sd_lx), equation)  # log-variance start
     return k, top * float(np.mean(y**k)) ** (1.0 / k)
 
 
@@ -445,22 +444,22 @@ def _fit_beta(x: np.ndarray) -> tuple[float, float]:
     return a, b
 
 
-def _qgaussian_terms(x: np.ndarray, w: float) -> tuple[np.ndarray, np.ndarray]:
-    # log1p((x/w)^2), as 2 (log|x| - log w) where (x/w)^2 overflows, and x^2/(w^2+x^2)
-    with np.errstate(over="ignore", invalid="ignore"):
+def _log1p_z2(x: np.ndarray, w: float) -> tuple[np.ndarray, np.ndarray]:
+    # log1p(z2) and z2 = (x/w)^2, the log as 2 (log|x| - log w) where z2 overflows
+    with np.errstate(over="ignore"):
         z2 = (x / w) ** 2
-        r = np.where(np.isfinite(z2), z2 / (1.0 + z2), 1.0)
     u = np.log1p(z2)
-    overflowed = ~np.isfinite(u)
-    if np.any(overflowed):
-        safe = np.where(overflowed, np.abs(x), 1.0)
-        u = np.where(overflowed, 2.0 * (np.log(safe) - math.log(w)), u)
-    return u, r
+    big = ~np.isfinite(u)
+    if np.any(big):
+        u = np.where(big, 2.0 * (np.log(np.where(big, np.abs(x), 1.0)) - math.log(w)), u)
+    return u, z2
 
 
 def _qgaussian_sums(x: np.ndarray, w: float) -> tuple[float, float, float]:
-    # sums of log1p((x/w)^2), r and r(3-2r)
-    u, r = _qgaussian_terms(x, w)
+    # sums of log1p((x/w)^2), r = x^2/(w^2+x^2) and r(3-2r)
+    u, z2 = _log1p_z2(x, w)
+    with np.errstate(invalid="ignore"):
+        r = np.where(np.isfinite(z2), z2 / (1.0 + z2), 1.0)
     return float(u.sum()), float(r.sum()), float((r * (3.0 - 2.0 * r)).sum())
 
 
@@ -678,7 +677,7 @@ _FAMILIES = {
     Family.Q_GAUSSIAN: _Spec(
         names=("tail", "width"),
         rules=((lambda t, w: t > 1, "tail exponent > 1"), (lambda t, w: w > 0, "width > 0")),
-        log_density=lambda x, t, w: _qgaussian_log_norm(t, w) - 0.5 * t * _qgaussian_terms(x, w)[0],
+        log_density=lambda x, t, w: _qgaussian_log_norm(t, w) - 0.5 * t * _log1p_z2(x, w)[0],
         survival=lambda x, t, w: special.stdtr(t - 1.0, -x * math.sqrt(t - 1.0) / w),
         draw=lambda rng, n, t, w: rng.standard_t(t - 1.0, n) * (w / math.sqrt(t - 1.0)),
         score=lambda x, t, w: _qgaussian_score_hessian(x, t, w)[0],

@@ -310,22 +310,28 @@ class TestFitIterative:
                 assert rescaled.params[1] == pytest.approx(fitted.params[1] * factor, rel=1e-9)
 
     def test_qgaussian_where_the_moments_underflow(self):
-        # Below about 1e-154 the second moment squared underflows to 0, and
-        # below about 1e-155 the Hessian's w * w loses precision.  The fit
-        # runs in units of 2^e, so a Student-t sample fits as it does at
-        # unit scale ...
-        student = np.sort(np.random.default_rng(4).standard_t(3.0, 1000))
-        fitted = fit_mle(Family.Q_GAUSSIAN, SortedSample(student))
-        for factor in (1e-155, 1e-160, 1e-170):
-            tiny = fit_mle(Family.Q_GAUSSIAN, SortedSample(student * factor))
-            assert tiny.params[0] == pytest.approx(fitted.params[0], rel=1e-12)
-            assert tiny.params[1] == pytest.approx(fitted.params[1] * factor, rel=1e-12)
-        # ... and on repeated zeros, where the likelihood grows without
-        # bound as the width shrinks, the search fails with the typed error
-        # at every scale
-        for scale in (1.0, 1e-300):
-            with pytest.raises(ConvergenceError, match="width search ran to 0"):
-                fit_mle(Family.Q_GAUSSIAN, SortedSample.from_data([0.0, 0.0, 0.0, scale]))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            # Below about 1e-154 the second moment squared underflows to 0,
+            # and below about 1e-155 the Hessian's w * w loses precision.
+            # The fit runs in units of 2^e, so a Student-t sample fits as it
+            # does at unit scale ...
+            student = np.sort(np.random.default_rng(4).standard_t(3.0, 1000))
+            fitted = fit_mle(Family.Q_GAUSSIAN, SortedSample(student))
+            factors = (1e-155, 1e-160, 1e-170)
+            tiny = [fit_mle(Family.Q_GAUSSIAN, SortedSample(student * f)) for f in factors]
+            # ... and on repeated zeros, where the likelihood grows without
+            # bound as the width shrinks, the search fails with the typed
+            # error at every scale
+            for scale in (1.0, 1e-300):
+                with pytest.raises(ConvergenceError, match="width search ran to 0"):
+                    fit_mle(Family.Q_GAUSSIAN, SortedSample.from_data([0.0, 0.0, 0.0, scale]))
+        for factor, model in zip(factors, tiny):
+            assert model.params[0] == pytest.approx(fitted.params[0], rel=1e-12)
+            assert model.params[1] == pytest.approx(fitted.params[1] * factor, rel=1e-12)
+        # the Hessian's overflow and the diverging search at 0 are handled,
+        # not reported
+        assert [str(w.message) for w in caught] == []
 
     @pytest.mark.parametrize(
         "family, values, shape",
