@@ -271,7 +271,7 @@ def _add_bootstrap_flags(sub):
     sub.add_argument("--method", choices=("percentile", "basic"), default="percentile",
                      help="confidence-interval construction")
     sub.add_argument("--block-length", type=_int_at_least(1), default=None,
-                     help="moving-block bootstrap block length (enables block resampling)")
+                     help="moving-block bootstrap block length (default: iid, the same draws as 1)")
 
 
 def build_parser() -> _Parser:
@@ -337,11 +337,9 @@ def build_parser() -> _Parser:
 
 
 def _bootstrap_config(args) -> BootstrapConfig:
-    method = "moving_block" if args.block_length is not None else "iid"
     return BootstrapConfig(
         resamples=args.resamples,
         level=args.level,
-        method=method,
         block_length=args.block_length,
         seed=args.seed,
         ci_method=args.method,

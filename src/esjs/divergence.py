@@ -43,14 +43,12 @@ def esjs(p: StepSurvival, q: StepSurvival) -> float:
 
     Nonnegative, symmetric, zero iff the inputs agree pointwise, and carries
     the units of the observations.  Returns ``inf`` if the integrand is
-    nonzero on an unbounded tail (cannot happen for survivals built from
-    samples, whose heads are 1 and tails 0).
+    nonzero on the unbounded right tail, as when ``bounds`` of a binned
+    survival cut a sample so that its tail stays above 0.
     """
     grid = np.union1d(p.breakpoints, q.breakpoints)
     pv, qv = p(grid), q(grid)
-    head = float(_integrand(np.array([p.head_value]), np.array([q.head_value]))[0])
-    tail = float(_integrand(pv[-1:], qv[-1:])[0])
-    if head != 0.0 or tail != 0.0:
+    if float(_integrand(pv[-1:], qv[-1:])[0]) != 0.0:
         return math.inf
     return _step_sum(grid, pv, qv)
 

@@ -14,7 +14,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bootstrap import BootstrapConfig, ConfidenceInterval, bootstrap_ci
-from .distributions import Family, ParametricModel, fit_mle, sample_from, support_problem
+from .distributions import ConvergenceError, Family, ParametricModel, fit_mle, sample_from
+from .distributions import support_problem
 from .divergence import EsjsFactor, _step_sum, esjs, esjs_factor
 from .seeds import derive_seed
 from .survival import SortedSample, _snap_up, empirical_survival, km_binned_survival
@@ -174,9 +175,11 @@ def compare_families(
 ) -> ExperimentReport:
     """Score every support-compatible family and rank by divergence.
 
-    Support-incompatible families are reported as skipped with a reason.
-    The factor compares the designated challenger (by default the second
-    best, optionally restricted by ``exclude_from_factor``) to the best.
+    Support-incompatible families and families whose fit does not converge
+    are reported as skipped with a reason; if no family is left after a fit
+    failed, the first ``ConvergenceError`` is raised.  The factor compares the
+    designated challenger (by default the second best, optionally restricted
+    by ``exclude_from_factor``) to the best.
     """
     families = list(families)
     if not families:
@@ -184,14 +187,19 @@ def compare_families(
     excluded = set(exclude_from_factor)
     rows: list[FitReport] = []
     skipped: list[tuple[Family, str]] = []
+    failures: list[ConvergenceError] = []
     for family in families:
         reason = support_problem(family, data)
         if reason is not None:
             skipped.append((family, reason))
             continue
-        rows.append(
-            fit_report(data, family, config, model_sample_size, bins, workers=workers)
-        )
+        try:
+            rows.append(fit_report(data, family, config, model_sample_size, bins, workers=workers))
+        except ConvergenceError as exc:
+            skipped.append((family, str(exc)))
+            failures.append(exc)
+    if not rows and failures:
+        raise failures[0]
     if not rows:
         detail = "; ".join(f"{fam.value} {why}" for fam, why in skipped)
         raise ValueError(f"all hypotheses skipped: {detail}")

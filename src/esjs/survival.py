@@ -81,14 +81,12 @@ class SortedSample:
 class StepSurvival:
     """Right-continuous piecewise-constant survival function.
 
-    ``values[k]`` is S(x) on ``[breakpoints[k], breakpoints[k+1])`` and
-    ``head_value`` is S(x) to the left of the first breakpoint (1 for any
-    survival function built from a sample).  ``values[-1]`` extends to +inf.
+    ``values[k]`` is S(x) on ``[breakpoints[k], breakpoints[k+1])``, S is 1
+    to the left of the first breakpoint, and ``values[-1]`` extends to +inf.
     """
 
     breakpoints: np.ndarray
     values: np.ndarray
-    head_value: float = 1.0
 
     def __post_init__(self):
         bp = np.asarray(self.breakpoints, dtype=np.float64).ravel()
@@ -99,29 +97,20 @@ class StepSurvival:
             raise ValueError("breakpoints and values must have equal length")
         if not np.all(np.isfinite(bp)):
             raise ValueError("breakpoints must be finite")
-        if bp.size > 1 and not np.all(np.diff(bp) > 0):
+        if not np.all(bp[1:] > bp[:-1]):
             raise ValueError("breakpoints must be strictly increasing")
-        head = float(self.head_value)
-        if not (0.0 <= vals.min() and vals.max() <= 1.0 and 0.0 <= head <= 1.0):
+        if not (0.0 <= vals.min() and vals.max() <= 1.0):
             raise ValueError("survival values must lie in [0, 1]")
         if vals.size > 1 and np.any(np.diff(vals) > 0):
             raise ValueError("survival values must be non-increasing")
-        if vals[0] > head:
-            raise ValueError("head value must dominate the first step value")
         object.__setattr__(self, "breakpoints", _frozen_array(bp))
         object.__setattr__(self, "values", _frozen_array(vals))
-        object.__setattr__(self, "head_value", head)
-
-    @property
-    def tail_value(self) -> float:
-        """S(x) at and beyond the last breakpoint."""
-        return float(self.values[-1])
 
     def __call__(self, x):
         """Evaluate S at scalar or array ``x``."""
         arr = np.asarray(x, dtype=np.float64)
         idx = np.searchsorted(self.breakpoints, arr, side="right") - 1
-        out = np.where(idx < 0, self.head_value, self.values[np.maximum(idx, 0)])
+        out = np.where(idx < 0, 1.0, self.values[np.maximum(idx, 0)])
         if arr.ndim == 0:
             return float(out)
         return out
@@ -133,9 +122,11 @@ def empirical_survival(sample: SortedSample) -> StepSurvival:
     Duplicate observations collapse into a single breakpoint with the
     corresponding joint drop; the final value is exactly 0.
     """
-    uniq, counts = np.unique(sample.values, return_counts=True)
-    remaining = sample.n - np.cumsum(counts)
-    return StepSurvival(uniq, remaining / sample.n, 1.0)
+    v = sample.values
+    # each distinct value ends a run of equal values; comparing neighbours
+    # rather than subtracting them cannot overflow
+    ends = np.flatnonzero(np.append(v[1:] != v[:-1], True))
+    return StepSurvival(v[ends], (sample.n - 1 - ends) / sample.n)
 
 
 def _snap_up(x: np.ndarray, lo: float, hi: float, bins: int) -> tuple[np.ndarray, np.ndarray]:
@@ -198,8 +189,8 @@ def km_binned_survival(
     edges, ends = _snap_up(x, lo, hi, bins)
     if ends.size == 0:
         # every observation lies above hi: S is 1 on the whole grid
-        return StepSurvival(np.array([hi]), np.ones(1), 1.0)
-    return StepSurvival(edges, (n - 1 - ends) / n, 1.0)
+        return StepSurvival(np.array([hi]), np.ones(1))
+    return StepSurvival(edges, (n - 1 - ends) / n)
 
 
 def survival_entropy(sample: SortedSample) -> float:

@@ -64,6 +64,13 @@ def segment_esjs_oracle(p, q) -> float:
     return total
 
 
+def unique_counts_survival(sample):
+    """Independent oracle: ``(breakpoints, values)`` of the empirical survival
+    from the distinct values and their counts."""
+    uniq, counts = np.unique(sample.values, return_counts=True)
+    return uniq, (sample.n - np.cumsum(counts)) / sample.n
+
+
 def full_grid_binned_survival(sample, bins, bounds=None):
     """Independent oracle: the survival at every right edge of the grid.
 

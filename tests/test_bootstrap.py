@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from esjs import (
     BootstrapConfig,
@@ -10,7 +12,29 @@ from esjs import (
 )
 
 
+def concatenated_blocks(series, block_length, seed):
+    """Oracle: the drawn blocks as slices of the series, concatenated and cut to n."""
+    n = len(series)
+    starts = np.random.default_rng(seed).integers(0, n - block_length + 1, -(-n // block_length))
+    return np.concatenate([series[s : s + block_length] for s in starts])[:n]
+
+
+@st.composite
+def block_cases(draw):
+    n = draw(st.integers(1, 300))
+    dtype = draw(st.sampled_from([np.int32, np.int64, np.float64]))
+    series = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).integers(-1000, 1000, n)
+    return series.astype(dtype), draw(st.integers(1, n)), draw(st.integers(0, 2**63 - 1))
+
+
 class TestMovingBlockResample:
+    @given(block_cases())
+    def test_gathers_the_concatenated_blocks(self, case):
+        series, block_length, seed = case
+        out = moving_block_resample(series, block_length, seed)
+        assert out.dtype == series.dtype
+        np.testing.assert_array_equal(out, concatenated_blocks(series, block_length, seed))
+
     def test_full_length_block_reproduces_series(self):
         series = [4.0, 1.0, 3.0, 2.0]
         out = moving_block_resample(series, block_length=4, seed=5)
@@ -131,7 +155,7 @@ class TestBootstrapCi:
         "config",
         [
             BootstrapConfig(resamples=6, seed=8),
-            BootstrapConfig(resamples=6, seed=8, method="moving_block", block_length=2),
+            BootstrapConfig(resamples=6, seed=8, block_length=2),
         ],
     )
     def test_integer_components_keep_their_dtype(self, config):
@@ -145,11 +169,22 @@ class TestBootstrapCi:
         replicate_values(statistic, data, config)
         assert seen == {(np.dtype(np.int32), np.dtype(np.int64), np.dtype(np.float64))}
 
+    def test_iid_is_blocks_of_one(self):
+        data = (np.arange(37, dtype=np.int32), np.random.default_rng(3).normal(size=20))
+        iid = BootstrapConfig(resamples=30, seed=5)
+        unit_blocks = BootstrapConfig(resamples=30, seed=5, block_length=1)
+        assert (iid.method, unit_blocks.method) == ("iid", "moving_block")
+
+        def statistic(a, b):
+            return float(np.sum(a * np.arange(1, 38)) + np.sum(b * np.arange(1, 21)))
+
+        np.testing.assert_array_equal(
+            replicate_values(statistic, data, iid), replicate_values(statistic, data, unit_blocks)
+        )
+
     def test_moving_block_config(self):
         series = np.sin(np.arange(64.0))
-        config = BootstrapConfig(
-            resamples=40, seed=2, method="moving_block", block_length=8
-        )
+        config = BootstrapConfig(resamples=40, seed=2, block_length=8)
         ci = bootstrap_ci(np.mean, series, config)
         assert ci.lb <= ci.ub
 
@@ -159,9 +194,7 @@ class TestBootstrapCi:
         with pytest.raises(ValueError):
             BootstrapConfig(level=1.0)
         with pytest.raises(ValueError):
-            BootstrapConfig(method="moving_block", block_length=None)
-        with pytest.raises(ValueError):
-            BootstrapConfig(method="jackknife")
+            BootstrapConfig(block_length=0)
         with pytest.raises(ValueError):
             BootstrapConfig(ci_method="bca")
         with pytest.raises(ValueError):

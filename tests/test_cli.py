@@ -233,6 +233,33 @@ class TestRunSimulate:
         eight = capsys.readouterr().out
         assert one == eight
 
+    def test_iid_draws_what_blocks_of_one_draw(self, capsys):
+        run(_simulate_argv())
+        iid = json.loads(capsys.readouterr().out)
+        run(_simulate_argv(("--block-length", "1")))
+        unit_blocks = json.loads(capsys.readouterr().out)
+        assert iid["spec"]["bootstrap"]["resampling"] == "iid"
+        assert unit_blocks["spec"]["bootstrap"]["resampling"] == "moving_block"
+        assert [row["ci"] for row in iid["rows"]] == [row["ci"] for row in unit_blocks["rows"]]
+
+    def test_a_family_that_does_not_converge_is_skipped(self, capsys):
+        # on light-tailed data the qgaussian MLE lies at infinite tail
+        argv = [
+            "simulate", "--given", "normal:0.3,1.7",
+            "--hypotheses",
+            "normal,uniform,lognormal,gamma,weibull,beta,qgaussian,exponential,pareto",
+            "--n", "2000", "--bootstrap", "5", "--seed", "7",
+        ]
+        assert run(argv) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert [row["family"] for row in report["rows"]] == ["normal", "uniform"]
+        reasons = {item["family"]: item["reason"] for item in report["skipped"]}
+        assert reasons["qgaussian"].startswith("qgaussian fit: score norm")
+        # with no family left the failure still ends the run
+        argv[4] = "qgaussian"
+        assert run(argv) == 3
+        assert "numerical failure: qgaussian fit: score norm" in capsys.readouterr().err
+
     def test_json_round_trips_exactly(self, capsys):
         run(_simulate_argv())
         text = capsys.readouterr().out

@@ -87,7 +87,7 @@ def resampled_pairs(draw):
     bins = draw(st.sampled_from([None, 1, 2, 7, 1000, 10**6]))
     if draw(st.booleans()):
         block = draw(st.integers(1, min(p.n, q.n)))
-        config = BootstrapConfig(resamples=4, seed=3, method="moving_block", block_length=block)
+        config = BootstrapConfig(resamples=4, seed=3, block_length=block)
     else:
         config = BootstrapConfig(resamples=4, seed=3)
     return p, q, bins, config
@@ -98,7 +98,7 @@ class TestReplicateSweep:
     @example((SortedSample.from_data([2.0]), SortedSample.from_data([2.0]), 10,
               BootstrapConfig(resamples=3, seed=1)))
     @example((SortedSample.from_data([1.0, 1.0, 3.0]), SortedSample.from_data([1.0]), 10**6,
-              BootstrapConfig(resamples=8, seed=1, method="moving_block", block_length=1)))
+              BootstrapConfig(resamples=8, seed=1, block_length=1)))
     def test_positions_statistic_equals_the_values_statistic(self, case):
         # the same draws, scored from positions in the pooled values and from
         # the resampled values themselves

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from esjs import (
@@ -18,7 +18,12 @@ from esjs import (
     survival_entropy,
 )
 
-from conftest import full_grid_binned_survival, random_sample, step_integral_of_neg_slogs
+from conftest import (
+    full_grid_binned_survival,
+    random_sample,
+    step_integral_of_neg_slogs,
+    unique_counts_survival,
+)
 
 
 class TestSortedSample:
@@ -79,6 +84,24 @@ class TestEmpiricalSurvival:
         sample = sample_from(ParametricModel(Family.NORMAL, (0, 1)), 100_000, 11)
         surv = empirical_survival(sample)
         assert abs(surv(0.0) - 0.5) < 0.01
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 300),
+        st.sampled_from([1, 2, 5, 2**20]),
+        st.sampled_from([1e-308, 1e-5, 1.0, 1e5, 1e308]),
+    )
+    @example(2, 2, 1, 1e308)  # the sample [-1e308, 1e308]
+    def test_equals_the_unique_counts_definition(self, seed, n, levels, scale):
+        # few levels make ties; 1e308 puts neighbours past float64's range apart
+        rng = np.random.default_rng(seed)
+        sample = SortedSample.from_data(rng.integers(-levels, levels + 1, n) / levels * scale)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            surv = empirical_survival(sample)
+        breakpoints, values = unique_counts_survival(sample)
+        np.testing.assert_array_equal(surv.breakpoints, breakpoints)
+        assert surv.values.tobytes() == values.tobytes()
 
     def test_complements_the_ecdf(self):
         rng = np.random.default_rng(5)
