@@ -14,13 +14,14 @@ import csv as csv_module
 import io
 import json
 import math
+import os
 import sys
 import time
 
 import numpy as np
 
 from .bootstrap import BootstrapConfig
-from .distributions import ConvergenceError, Family, ParametricModel, SupportError
+from .distributions import ConvergenceError, Family, ParametricModel
 from .gof import (
     ExperimentReport,
     FitReport,
@@ -81,7 +82,7 @@ def read_csv_column(path: str, column: str = "0") -> np.ndarray:
     except OSError as exc:
         raise CsvError(f"cannot read {path}: {exc}") from exc
     try:  # _read_plain holds the only reference to the text, and drops it once split
-        values = _read_plain(raw.decode("utf-8"), column)
+        values = _read_plain(raw.decode("utf-8").removeprefix("\ufeff"), column)
     except UnicodeDecodeError as exc:
         line = raw.count(b"\n", 0, exc.start) + 1
         raise CsvError(f"{path}: line {line}: byte 0x{raw[exc.start]:02x} at offset "
@@ -138,7 +139,7 @@ def _read_plain(text: str, column: str) -> np.ndarray | None:
 
 def _read_with_csv_module(raw: bytes, path: str, column: str) -> np.ndarray:
     """Read the column through ``csv.reader``: quoted fields, gaps and errors."""
-    with io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline="") as fh:
+    with io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig", newline="") as fh:
         reader = csv_module.reader(fh)
         try:
             rows = list(reader)
@@ -256,15 +257,19 @@ def _sizes_arg(text: str) -> list[int]:
     return sizes
 
 
-def _add_output_flags(sub):
-    sub.add_argument("--format", choices=("json", "csv", "table"), default="json")
-    sub.add_argument("--timing", action="store_true",
-                     help="include wall-clock timing in the report")
-    sub.add_argument("--workers", type=_int_at_least(1), default=1,
-                     help="bootstrap replicate threads (output is identical for any value)")
+def _add_input_flags(sub, *inputs):
+    for flag in inputs:
+        sub.add_argument(flag, required=True)
+    sub.add_argument("--column", default="0")
+
+
+def _add_bins_flags(sub):
+    sub.add_argument("--bins", type=_int_at_least(1), default=DEFAULT_BINS)
+    sub.add_argument("--raw", action="store_true", help="skip survival binning")
 
 
 def _add_bootstrap_flags(sub):
+    sub.add_argument("--model-sample-size", type=_int_at_least(1), default=None)
     sub.add_argument("--bootstrap", dest="resamples", type=_int_at_least(1), default=1000,
                      help="bootstrap resample count")
     sub.add_argument("--level", type=_level_arg, default=0.95)
@@ -272,6 +277,16 @@ def _add_bootstrap_flags(sub):
                      help="confidence-interval construction")
     sub.add_argument("--block-length", type=_int_at_least(1), default=None,
                      help="moving-block bootstrap block length (default: iid, the same draws as 1)")
+    sub.add_argument("--seed", type=_seed_arg, required=True)
+
+
+def _add_output_flags(sub, workers=True):
+    sub.add_argument("--format", choices=("json", "csv", "table"), default="json")
+    sub.add_argument("--timing", action="store_true",
+                     help="include wall-clock timing in the report")
+    if workers:
+        sub.add_argument("--workers", type=_int_at_least(1), default=1,
+                         help="bootstrap replicate threads (output is identical for any value)")
 
 
 def build_parser() -> _Parser:
@@ -279,27 +294,19 @@ def build_parser() -> _Parser:
     subs = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
 
     fit = subs.add_parser("fit", help="fit one family to CSV data and score it")
-    fit.add_argument("--input", required=True)
-    fit.add_argument("--column", default="0")
+    _add_input_flags(fit, "--input")
     fit.add_argument("--family", type=_family_arg, required=True)
-    fit.add_argument("--model-sample-size", type=_int_at_least(1), default=None)
-    fit.add_argument("--bins", type=_int_at_least(1), default=DEFAULT_BINS)
-    fit.add_argument("--raw", action="store_true", help="skip survival binning")
+    _add_bins_flags(fit)
     _add_bootstrap_flags(fit)
-    fit.add_argument("--seed", type=_seed_arg, required=True)
     _add_output_flags(fit)
     fit.set_defaults(handler=_run_fit)
 
     comp = subs.add_parser("compare", help="rank several families on CSV data")
-    comp.add_argument("--input", required=True)
-    comp.add_argument("--column", default="0")
+    _add_input_flags(comp, "--input")
     comp.add_argument("--families", type=_families_arg, required=True)
     comp.add_argument("--exclude-from-factor", type=_families_arg, default=[])
-    comp.add_argument("--model-sample-size", type=_int_at_least(1), default=None)
-    comp.add_argument("--bins", type=_int_at_least(1), default=DEFAULT_BINS)
-    comp.add_argument("--raw", action="store_true", help="skip survival binning")
+    _add_bins_flags(comp)
     _add_bootstrap_flags(comp)
-    comp.add_argument("--seed", type=_seed_arg, required=True)
     _add_output_flags(comp)
     comp.set_defaults(handler=_run_compare)
 
@@ -307,24 +314,18 @@ def build_parser() -> _Parser:
     sim.add_argument("--given", type=_model_arg, required=True)
     sim.add_argument("--hypotheses", type=_families_arg, required=True)
     sim.add_argument("--n", type=_int_at_least(2), required=True)
-    sim.add_argument("--model-sample-size", type=_int_at_least(1), default=None)
     sim.add_argument("--bins", type=_int_at_least(1), default=None)
     sim.add_argument("--exclude-from-factor", type=_families_arg, default=[])
     _add_bootstrap_flags(sim)
-    sim.add_argument("--seed", type=_seed_arg, required=True)
     _add_output_flags(sim)
     sim.set_defaults(handler=_run_simulate)
 
     # divergence takes no seed: it is deterministic
     div = subs.add_parser("divergence", help="divergence between two CSV samples")
-    div.add_argument("--input-p", required=True)
-    div.add_argument("--input-q", required=True)
-    div.add_argument("--column", default="0")
-    div.add_argument("--bins", type=_int_at_least(1), default=DEFAULT_BINS)
-    div.add_argument("--raw", action="store_true", help="skip survival binning")
-    div.add_argument("--format", choices=("json", "csv", "table"), default="json")
-    div.add_argument("--timing", action="store_true")
-    div.set_defaults(handler=_run_divergence, workers=1)
+    _add_input_flags(div, "--input-p", "--input-q")
+    _add_bins_flags(div)
+    _add_output_flags(div, workers=False)
+    div.set_defaults(handler=_run_divergence)
 
     scal = subs.add_parser("scaling", help="self-fit divergence across sample sizes")
     scal.add_argument("--given", type=_model_arg, required=True)
@@ -346,15 +347,32 @@ def _bootstrap_config(args) -> BootstrapConfig:
     )
 
 
-def _bootstrap_echo(config: BootstrapConfig) -> dict:
-    return {
-        "resamples": config.resamples,
-        "level": config.level,
-        "resampling": config.method,
-        "block_length": config.block_length,
-        "ci_method": config.ci_method,
-        "seed": config.seed,
-    }
+def _echo(value):
+    """A flag's or a derived field's value as the spec records it."""
+    if isinstance(value, Family):
+        return value.value
+    if isinstance(value, ParametricModel):
+        return {"family": value.family.value, "params": list(value.params)}
+    if isinstance(value, BootstrapConfig):
+        return {"resamples": value.resamples, "level": value.level,
+                "resampling": value.method, "block_length": value.block_length,
+                "ci_method": value.ci_method, "seed": value.seed}
+    if isinstance(value, list):
+        return [_echo(item) for item in value]
+    return value
+
+
+def _spec(args, *flags, **derived) -> dict:
+    """The report's record of its invocation: the subcommand, the named
+    flags, the derived fields, the seed (if the subcommand takes one) and
+    the format, in that order."""
+    spec = {"subcommand": args.subcommand}
+    spec.update((name, _echo(getattr(args, name))) for name in flags)
+    spec.update((name, _echo(value)) for name, value in derived.items())
+    if "seed" in args:
+        spec["seed"] = args.seed
+    spec["format"] = args.format
+    return spec
 
 
 def _row_dict(row: FitReport) -> dict:
@@ -387,127 +405,54 @@ def _experiment_dict(report: ExperimentReport) -> dict:
 
 def _run_fit(args) -> dict:
     data = ingest_csv(args.input, args.column)
-    bins = None if args.raw else args.bins
     config = _bootstrap_config(args)
-    row = fit_report(
-        data,
-        args.family,
-        config,
-        model_sample_size=args.model_sample_size,
-        bins=bins,
-        workers=args.workers,
-    )
-    spec = {
-        "subcommand": "fit",
-        "input": args.input,
-        "column": args.column,
-        "family": args.family.value,
-        "n": data.n,
-        "model_sample_size": row.model_sample_size,
-        "bins": bins,
-        "bootstrap": _bootstrap_echo(config),
-        "seed": args.seed,
-        "format": args.format,
-    }
+    row = fit_report(data, args.family, config, model_sample_size=args.model_sample_size,
+                     bins=args.bins, workers=args.workers)
+    spec = _spec(args, "input", "column", "family", n=data.n,
+                 model_sample_size=row.model_sample_size, bins=args.bins,
+                 bootstrap=config)
     return {"spec": spec, "rows": [_row_dict(row)]}
 
 
 def _run_compare(args) -> dict:
     data = ingest_csv(args.input, args.column)
-    bins = None if args.raw else args.bins
     config = _bootstrap_config(args)
-    report = compare_families(
-        data,
-        args.families,
-        config,
-        model_sample_size=args.model_sample_size,
-        bins=bins,
-        exclude_from_factor=args.exclude_from_factor,
-        workers=args.workers,
-    )
-    spec = {
-        "subcommand": "compare",
-        "input": args.input,
-        "column": args.column,
-        "families": [fam.value for fam in args.families],
-        "exclude_from_factor": [fam.value for fam in args.exclude_from_factor],
-        "n": data.n,
-        "model_sample_size": args.model_sample_size or data.n,
-        "bins": bins,
-        "bootstrap": _bootstrap_echo(config),
-        "seed": args.seed,
-        "format": args.format,
-    }
+    report = compare_families(data, args.families, config,
+                              model_sample_size=args.model_sample_size, bins=args.bins,
+                              exclude_from_factor=args.exclude_from_factor, workers=args.workers)
+    spec = _spec(args, "input", "column", "families", "exclude_from_factor", n=data.n,
+                 model_sample_size=args.model_sample_size or data.n, bins=args.bins,
+                 bootstrap=config)
     return {"spec": spec, **_experiment_dict(report)}
 
 
 def _run_simulate(args) -> dict:
     config = _bootstrap_config(args)
-    report = simulate_experiment(
-        args.given,
-        args.hypotheses,
-        args.n,
-        config,
-        model_sample_size=args.model_sample_size,
-        bins=args.bins,
-        exclude_from_factor=args.exclude_from_factor,
-        workers=args.workers,
-    )
-    spec = {
-        "subcommand": "simulate",
-        "given": {
-            "family": args.given.family.value,
-            "params": list(args.given.params),
-        },
-        "hypotheses": [fam.value for fam in args.hypotheses],
-        "exclude_from_factor": [fam.value for fam in args.exclude_from_factor],
-        "n": args.n,
-        "model_sample_size": args.model_sample_size or args.n,
-        "bins": args.bins,
-        "bootstrap": _bootstrap_echo(config),
-        "seed": args.seed,
-        "format": args.format,
-    }
+    report = simulate_experiment(args.given, args.hypotheses, args.n, config,
+                                 model_sample_size=args.model_sample_size, bins=args.bins,
+                                 exclude_from_factor=args.exclude_from_factor,
+                                 workers=args.workers)
+    spec = _spec(args, "given", "hypotheses", "exclude_from_factor", n=args.n,
+                 model_sample_size=args.model_sample_size or args.n, bins=args.bins,
+                 bootstrap=config)
     return {"spec": spec, **_experiment_dict(report)}
 
 
 def _run_divergence(args) -> dict:
-    bins = None if args.raw else args.bins
     value = _esjs_between(
-        ingest_csv(args.input_p, args.column), ingest_csv(args.input_q, args.column), bins
+        ingest_csv(args.input_p, args.column), ingest_csv(args.input_q, args.column), args.bins
     )
-    spec = {
-        "subcommand": "divergence",
-        "input_p": args.input_p,
-        "input_q": args.input_q,
-        "column": args.column,
-        "bins": bins,
-        "format": args.format,
-    }
+    spec = _spec(args, "input_p", "input_q", "column", bins=args.bins)
     return {"spec": spec, "esjs": value, "distance": math.sqrt(value)}
 
 
 def _run_scaling(args) -> dict:
     rows = scaling_experiment(args.given, args.sizes, args.seed)
-    amplitude, exponent = powerlaw_fit(
-        [row.size for row in rows], [row.esjs for row in rows]
-    )
-    spec = {
-        "subcommand": "scaling",
-        "given": {
-            "family": args.given.family.value,
-            "params": list(args.given.params),
-        },
-        "sizes": args.sizes,
-        "seed": args.seed,
-        "format": args.format,
-    }
+    amplitude, exponent = powerlaw_fit([row.size for row in rows], [row.esjs for row in rows])
     return {
-        "spec": spec,
-        "rows": [
-            {"size": row.size, "params": list(row.params), "esjs": row.esjs}
-            for row in rows
-        ],
+        "spec": _spec(args, "given", "sizes"),
+        "rows": [{"size": row.size, "params": list(row.params), "esjs": row.esjs}
+                 for row in rows],
         "powerlaw": {"amplitude": amplitude, "exponent": exponent},
     }
 
@@ -564,28 +509,33 @@ def _emit(report: dict, fmt: str) -> None:
 
 def run(argv=None) -> int:
     """Parse arguments, execute the subcommand, emit the report on stdout."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    if getattr(args, "raw", False):
+        args.bins = None  # --raw wins over --bins, in either order
     started = time.perf_counter()
     try:
         report = args.handler(args)
-    except (CsvError, SupportError) as exc:
-        print(f"esjs: data error: {exc}", file=sys.stderr)
-        return 2
     except (ConvergenceError, ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"esjs: numerical failure: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except ValueError as exc:  # CsvError and SupportError among them
         print(f"esjs: data error: {exc}", file=sys.stderr)
         return 2
-    if getattr(args, "timing", False):
+    if args.timing:
         report["timing"] = time.perf_counter() - started
     _emit(report, args.format)
     return 0
 
 
 def entrypoint() -> None:
-    raise SystemExit(run())
+    code = 0  # run writes to stdout only once it has succeeded
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone; send the interpreter's last flush to /dev/null
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

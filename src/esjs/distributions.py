@@ -309,6 +309,11 @@ def _weibull_score(x: np.ndarray, k: float, tau: float) -> np.ndarray:
     return np.array([g_k, g_tau])
 
 
+def _weibull_power(x: np.ndarray, k: float, tau: float) -> np.ndarray:
+    with np.errstate(over="ignore"):  # inf far out in the tail: density and survival 0
+        return (x / tau) ** k
+
+
 def _beta_score(x: np.ndarray, a: float, b: float) -> np.ndarray:
     n = x.size
     psi_ab = float(special.digamma(a + b))
@@ -496,6 +501,13 @@ def _qgaussian_loglik(x: np.ndarray, t: float, w: float) -> float:
     return float(x.size * norm - 0.5 * t * su)
 
 
+# Each fixed start tail t with special.stdtrit(t - 1, 0.75), written out by repr
+_QGAUSSIAN_START_QUARTILES = (
+    (2.2, 0.9335861477221329), (3.0, 0.8164965809277261), (5.0, 0.7406970841126829),
+    (9.0, 0.7063866126448388), (21.0, 0.6869544964488036), (101.0, 0.6769510430114717),
+)
+
+
 def _qgaussian_starts(x: np.ndarray) -> list[tuple[float, float]]:
     starts = []
     m2 = float(np.mean(x * x))
@@ -512,10 +524,8 @@ def _qgaussian_starts(x: np.ndarray) -> list[tuple[float, float]]:
     abs_med = float(np.median(np.abs(x)))
     if abs_med == 0.0:
         abs_med = float(np.mean(np.abs(x)))
-    for t_try in (2.2, 3.0, 5.0, 9.0, 21.0, 101.0):
-        df = t_try - 1.0
-        q75 = float(special.stdtrit(df, 0.75))
-        starts.append((t_try, abs_med * math.sqrt(df) / q75))
+    for t_try, q75 in _QGAUSSIAN_START_QUARTILES:
+        starts.append((t_try, abs_med * math.sqrt(t_try - 1.0) / q75))
     return starts
 
 
@@ -647,9 +657,9 @@ _FAMILIES = {
         names=("shape", "scale"),
         rules=((lambda k, tau: k > 0 and tau > 0, "shape > 0 and scale > 0"),),
         log_density=lambda x, k, tau: (
-            math.log(k) + (k - 1.0) * np.log(x) - k * math.log(tau) - (x / tau) ** k
+            math.log(k) + (k - 1.0) * np.log(x) - k * math.log(tau) - _weibull_power(x, k, tau)
         ),
-        survival=lambda x, k, tau: np.exp(-((x / tau) ** k)),
+        survival=lambda x, k, tau: np.exp(-_weibull_power(x, k, tau)),
         draw=lambda rng, n, k, tau: tau * rng.weibull(k, n),
         score=_weibull_score,
         fit=_fit_weibull,

@@ -179,7 +179,8 @@ def compare_families(
     are reported as skipped with a reason; if no family is left after a fit
     failed, the first ``ConvergenceError`` is raised.  The factor compares the
     designated challenger (by default the second best, optionally restricted
-    by ``exclude_from_factor``) to the best.
+    by ``exclude_from_factor``) to the best; when the best scores 0 there is
+    no challenger and the factor is 1.
     """
     families = list(families)
     if not families:
@@ -205,8 +206,11 @@ def compare_families(
         raise ValueError(f"all hypotheses skipped: {detail}")
     best = min(rows, key=lambda r: r.esjs)
     candidates = [r for r in rows if r is not best and r.family not in excluded]
-    if not candidates:
-        note = "single hypothesis" if len(rows) == 1 else "no eligible challenger"
+    if not candidates or best.esjs == 0:
+        if candidates:
+            note = "champion score is 0"  # no finite factor against it
+        else:
+            note = "single hypothesis" if len(rows) == 1 else "no eligible challenger"
         factor = EsjsFactor(1.0, best.esjs, best.esjs)
         challenger = None
     else:

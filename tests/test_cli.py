@@ -33,13 +33,13 @@ def write(tmp_path, name, text):
     return str(path)
 
 
-def run_process(*argv):
+def run_process(*argv, stdout=subprocess.PIPE):
     """The CLI in a fresh interpreter, as a user runs it."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(esjs.gof.__file__)))
     env = {**os.environ, "PYTHONPATH": src}
     return subprocess.run(
         [sys.executable, "-m", "esjs.cli", *argv],
-        capture_output=True, text=True, env=env, timeout=120,
+        stdout=stdout, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
     )
 
 
@@ -129,6 +129,18 @@ class TestIngestCsv:
             "is not UTF-8 (invalid start byte)\n"
         )
 
+    @pytest.mark.parametrize("quote", ["", '"'], ids=["plain", "quoted"])
+    def test_byte_order_mark_before_a_number(self, tmp_path, quote):
+        # Excel's "CSV UTF-8" export starts the file with a byte-order mark;
+        # a quoted file is read by the csv module
+        path = write(tmp_path, "bom.csv", f"\ufeff{quote}1.5{quote}\n2.5\n3.5\n")
+        assert list(read_csv_column(path)) == [1.5, 2.5, 3.5]
+
+    @pytest.mark.parametrize("quote", ["", '"'], ids=["plain", "quoted"])
+    def test_byte_order_mark_before_a_header(self, tmp_path, quote):
+        path = write(tmp_path, "bom.csv", f"\ufeff{quote}value{quote},t\n1.5,0\n2.5,1\n")
+        assert list(read_csv_column(path, "value")) == [1.5, 2.5]
+
 
 NUMBER_CELLS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
@@ -183,6 +195,7 @@ class TestIngestPaths:
     @example(b"v\r1\n2\n", "0")
     @example(b"v\n" + b"0" * 199_999 + b"1\n", "v")
     @example(b"\n1\n", "")
+    @example(b"\xef\xbb\xbfv\n1\n", "v")
     def test_plain_path_agrees_with_the_csv_module(self, content, column):
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "x.csv")
@@ -420,6 +433,21 @@ class TestRunFitAndCompare:
         report = json.loads(capsys.readouterr().out)
         assert report["factor"]["challenger"] == "normal"
 
+    def test_a_champion_scoring_zero_has_no_challenger(self, tmp_path, capsys):
+        # in a single bin every survival is the same step, so every family scores 0
+        values = np.random.default_rng(1).lognormal(size=200).tolist()
+        path = write(tmp_path, "x.csv", "\n".join(map(repr, values)))
+        for argv in (["compare", "--input", path, "--families", "lognormal,gamma"],
+                     ["simulate", "--given", "gamma:2,2", "--hypotheses", "gamma,normal",
+                      "--n", "500"]):
+            assert run([*argv, "--bins", "1", "--bootstrap", "5", "--seed", "1"]) == 0
+            report = json.loads(capsys.readouterr().out)
+            assert [row["esjs"] for row in report["rows"]] == [0.0, 0.0]
+            assert report["factor"] == {
+                "ratio": 1.0, "numerator_esjs": 0.0, "denominator_esjs": 0.0,
+                "challenger": None, "champion": report["best"], "note": "champion score is 0",
+            }
+
     def test_numerical_failure_exit_3(self, tmp_path, capsys, monkeypatch):
         path = write(tmp_path, "n.csv", "1\n2\n3\n4\n")
 
@@ -456,6 +484,22 @@ class TestNumericalEdgeCases:
         assert proc.stderr.startswith("esjs: numerical failure: pareto draws overflow")
         assert proc.stderr.count("\n") == 1
         assert "Traceback" not in proc.stderr
+
+
+class TestEntrypoint:
+    def test_closed_stdout_ends_quietly(self, tmp_path):
+        # as in `esjs ... | head` once head has exited
+        path = write(tmp_path, "x.csv", "1\n2\n3\n")
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = run_process("divergence", "--input-p", path, "--input-q", path,
+                               stdout=write_end)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 0
+        assert "Traceback" not in proc.stderr
+        assert "Exception ignored" not in proc.stderr
 
 
 class TestRunScaling:

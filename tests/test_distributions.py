@@ -309,6 +309,15 @@ class TestFitIterative:
                 assert rescaled.params[0] == pytest.approx(fitted.params[0], rel=1e-9)
                 assert rescaled.params[1] == pytest.approx(fitted.params[1] * factor, rel=1e-9)
 
+    def test_qgaussian_start_quartiles_are_student_t_quartiles(self):
+        # written out as constants, they must equal what scipy computes bit
+        # for bit, so that every qgaussian fit starts where it did
+        from esjs.distributions import _QGAUSSIAN_START_QUARTILES
+
+        assert [t for t, _ in _QGAUSSIAN_START_QUARTILES] == [2.2, 3.0, 5.0, 9.0, 21.0, 101.0]
+        for t, q75 in _QGAUSSIAN_START_QUARTILES:
+            assert q75 == float(special.stdtrit(t - 1.0, 0.75))
+
     def test_qgaussian_where_the_moments_underflow(self):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -522,6 +531,7 @@ class TestOneSupport:
         model=st.sampled_from(REFERENCE_MODELS),
         values=st.lists(EDGE_VALUES, min_size=1, max_size=8),
     )
+    @example(model=ParametricModel(Family.WEIBULL, (1.5, 4.4)), values=[1e300])  # (x/tau)**k = inf
     def test_density_and_survival_outside_the_support(self, model, values):
         support = model_support(model)
         lower, _, upper, _ = support
