@@ -331,7 +331,7 @@ def build_parser() -> _Parser:
     scal.add_argument("--given", type=_model_arg, required=True)
     scal.add_argument("--sizes", type=_sizes_arg, default=_sizes_arg(_DEFAULT_SCALING_SIZES))
     scal.add_argument("--seed", type=_seed_arg, required=True)
-    _add_output_flags(scal)
+    _add_output_flags(scal, workers=False)
     scal.set_defaults(handler=_run_scaling)
 
     return parser

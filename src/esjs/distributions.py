@@ -449,23 +449,30 @@ def _fit_beta(x: np.ndarray) -> tuple[float, float]:
     return a, b
 
 
-def _log1p_z2(x: np.ndarray, w: float) -> tuple[np.ndarray, np.ndarray]:
-    # log1p(z2) and z2 = (x/w)^2, the log as 2 (log|x| - log w) where z2 overflows
+def _log1p_z2(x: np.ndarray, w: float) -> tuple[np.ndarray, np.ndarray, bool]:
+    # log1p(z2), z2 = (x/w)^2, and whether z2 overflows; where it does, the
+    # log is 2 (log|x| - log w)
     with np.errstate(over="ignore"):
         z2 = (x / w) ** 2
     u = np.log1p(z2)
     big = ~np.isfinite(u)
-    if np.any(big):
+    if overflowed := bool(np.any(big)):
         u = np.where(big, 2.0 * (np.log(np.where(big, np.abs(x), 1.0)) - math.log(w)), u)
-    return u, z2
+    return u, z2, overflowed
 
 
 def _qgaussian_sums(x: np.ndarray, w: float) -> tuple[float, float, float]:
     # sums of log1p((x/w)^2), r = x^2/(w^2+x^2) and r(3-2r)
-    u, z2 = _log1p_z2(x, w)
-    with np.errstate(invalid="ignore"):
-        r = np.where(np.isfinite(z2), z2 / (1.0 + z2), 1.0)
-    return float(u.sum()), float(r.sum()), float((r * (3.0 - 2.0 * r)).sum())
+    u, z2, overflowed = _log1p_z2(x, w)
+    su = float(u.sum())
+    if overflowed:
+        with np.errstate(invalid="ignore"):
+            r = np.where(np.isfinite(z2), z2 / (1.0 + z2), 1.0)
+    else:  # the same arithmetic in two arrays, where every z2 is finite
+        r = np.divide(z2, np.add(1.0, z2, out=u), out=u)
+    rr = np.multiply(2.0, r, out=z2)
+    np.multiply(r, np.subtract(3.0, rr, out=rr), out=rr)
+    return su, float(r.sum()), float(rr.sum())
 
 
 def _qgaussian_score_hessian(
@@ -497,7 +504,7 @@ def _qgaussian_log_norm(t: float, w: float) -> float:
 
 def _qgaussian_loglik(x: np.ndarray, t: float, w: float) -> float:
     norm = _qgaussian_log_norm(t, w)  # a width run to 0 raises here, before x / w
-    su, _, _ = _qgaussian_sums(x, w)
+    su = float(_log1p_z2(x, w)[0].sum())
     return float(x.size * norm - 0.5 * t * su)
 
 

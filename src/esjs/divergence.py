@@ -29,13 +29,25 @@ __all__ = [
 ]
 
 
-def _integrand(pv: np.ndarray, qv: np.ndarray) -> np.ndarray:
-    # 1/2 (P log(P/M) + Q log(Q/M)) with M = (P+Q)/2 and 0 log 0 := 0.
-    m = 0.5 * (pv + qv)
+def _integrand(pv, qv, out, t, pos) -> np.ndarray:
+    """1/2 (P log(P/M) + Q log(Q/M)) with M = (P+Q)/2 and 0 log 0 := 0, into ``out``.
+
+    Every pass writes into the arguments, so a caller that reuses its buffers
+    allocates nothing: ``pv`` is overwritten, and the float64 ``t`` and the
+    bool ``pos``, as long as ``pv``, are scratch.
+    """
+    m = np.add(pv, qv, out=out)
+    m *= 0.5
     with np.errstate(divide="ignore", invalid="ignore"):
-        tp = np.where(pv > 0.0, pv * np.log(pv / m), 0.0)
-        tq = np.where(qv > 0.0, qv * np.log(qv / m), 0.0)
-    return 0.5 * (tp + tq)
+        # pv is spent once its term is in t, so q's term goes where pv was
+        for v, term in ((pv, t), (qv, pv)):
+            np.log(np.divide(v, m, out=term), out=term)
+            np.multiply(v, term, out=term)
+            np.logical_not(np.greater(v, 0.0, out=pos), out=pos)
+            np.copyto(term, 0.0, where=pos)
+    np.add(t, pv, out=out)
+    out *= 0.5
+    return out
 
 
 def esjs(p: StepSurvival, q: StepSurvival) -> float:
@@ -48,20 +60,26 @@ def esjs(p: StepSurvival, q: StepSurvival) -> float:
     """
     grid = np.union1d(p.breakpoints, q.breakpoints)
     pv, qv = p(grid), q(grid)
-    if float(_integrand(pv[-1:], qv[-1:])[0]) != 0.0:
+    out, t, pos = np.empty(grid.size), np.empty(grid.size), np.empty(grid.size, dtype=bool)
+    if float(_integrand(pv[-1:].copy(), qv[-1:], out[-1:], t[-1:], pos[-1:])[0]) != 0.0:
         return math.inf
-    return _step_sum(grid, pv, qv)
+    return _step_sum(grid, pv, qv, out, t, pos)
 
 
-def _step_sum(grid: np.ndarray, pv: np.ndarray, qv: np.ndarray) -> float:
+def _step_sum(grid, pv, qv, out, t, pos) -> float:
     """Exact integral of the integrand of two step functions over ``grid``.
 
     The functions take ``pv[k]`` and ``qv[k]`` on ``[grid[k], grid[k+1])``;
     the caller has checked that the integrand is 0 outside the grid.
+    ``grid`` and ``pv`` are overwritten, and ``out``, ``t`` and ``pos`` are
+    :func:`_integrand`'s buffers, as long as the grid.
     """
-    if grid.size == 1:
+    n = grid.size - 1
+    if n == 0:
         return 0.0
-    return float(np.sum(np.diff(grid) * _integrand(pv[:-1], qv[:-1]))) + 0.0
+    widths = np.subtract(grid[1:], grid[:-1], out=grid[:-1])
+    widths *= _integrand(pv[:n], qv[:n], out[:n], t[:n], pos[:n])
+    return float(np.sum(widths)) + 0.0
 
 
 def esjs_spacings(p_sample: SortedSample, q_sample: SortedSample) -> float:

@@ -9,6 +9,7 @@ survival of the data; smaller is better and 0 means indistinguishable.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -90,8 +91,23 @@ def _pool(p: SortedSample, q: SortedSample) -> tuple[np.ndarray, np.ndarray, np.
     return values[new], positions[: p.n], positions[p.n :]
 
 
+class _Workspace(threading.local):
+    """Arrays that bootstrap replicates reuse, one set per thread: arrays made
+    for each replicate go back to the system when freed, and the next replicate
+    faults their pages in again.  An array grows only when it is too short."""
+
+    def __init__(self):
+        self._arrays = {}
+
+    def array(self, name: str, size: int, dtype=np.float64) -> np.ndarray:
+        if name not in self._arrays or self._arrays[name].size < size:
+            self._arrays.pop(name, None)  # the old array goes before the new one is made
+            self._arrays[name] = np.empty(size, dtype)
+        return self._arrays[name][:size]
+
+
 def _esjs_of_positions(
-    x: np.ndarray, p_pos: np.ndarray, q_pos: np.ndarray, bins: int | None
+    x: np.ndarray, p_pos: np.ndarray, q_pos: np.ndarray, bins: int | None, ws: _Workspace
 ) -> float:
     """``_esjs_between`` of the samples ``x[p_pos]`` and ``x[q_pos]``, bit for bit.
 
@@ -99,29 +115,35 @@ def _esjs_of_positions(
     the samples: the occupied values are the kernel's grid (or, binned, they
     snap to it), and one running count gives both survivals on it.  No sort
     and no survival is built, which is what makes a bootstrap replicate cheap.
+    Each array as long as ``x`` or the grid is one of ``ws``'s.
     """
-    # Memory is what limits a replicate: each bootstrap thread's malloc arena
-    # keeps its peak, so one packed count array is used (p's draws in the
-    # low 32 bits, q's in the high 32 bits; sizes stay below 2^31) and each
-    # full-length array is dropped as soon as it is used.
-    c = np.bincount(q_pos, minlength=x.size)
-    c <<= 32
-    c += np.bincount(p_pos, minlength=x.size)
-    occupied = np.flatnonzero(c)
-    np.cumsum(c, out=c)
-    at_or_below = c[occupied]
-    del c
-    grid = x[occupied]
+    # One packed count per pooled value: p's draws in the low 32 bits, q's in
+    # the high 32 bits (sizes stay below 2^31).  Memory is what limits a
+    # replicate, so spent arrays take later stages: the counts' memory holds
+    # the grid (and, binned, the snapped levels), the levels' memory the
+    # integrand, and the mask's the integrand's sign mask.
+    counts = ws.array("counts", x.size, np.int64)
+    counts.fill(0)
+    np.add.at(counts, p_pos, 1)
+    np.add.at(counts, q_pos, 1 << 32)
+    occupied = np.flatnonzero(np.not_equal(counts, 0, out=ws.array("mask", x.size, bool)))
+    # every index is in range: "clip" only spares the copy of out that "raise" makes
+    levels = ws.array("levels", occupied.size, np.int64)
+    np.take(counts, occupied, out=levels, mode="clip")
+    np.cumsum(levels, out=levels)  # counts at or below each occupied value
+    grid = np.take(x, occupied, out=counts.view(np.float64)[: occupied.size], mode="clip")
     del occupied
     if bins is not None and grid.size > 1:
         # the replicate's own range, as _esjs_between takes it
         grid, ends = _snap_up(grid, grid[0], grid[-1], bins)
-        at_or_below = at_or_below[ends]
-    n_p, n_q = p_pos.size, q_pos.size
-    pv = (n_p - (at_or_below & 0xFFFFFFFF)) / n_p
-    qv = (n_q - (at_or_below >> 32)) / n_q
-    del at_or_below
-    return _step_sum(grid, pv, qv)
+        levels = np.take(levels, ends, out=counts[: ends.size], mode="clip")
+    n_p, n_q, size = p_pos.size, q_pos.size, grid.size
+    pv, qv, t = ws.array("pv", size), ws.array("qv", size), ws.array("t", size)
+    low = np.bitwise_and(levels, 0xFFFFFFFF, out=qv.view(np.int64))
+    np.divide(np.subtract(n_p, low, out=low), n_p, out=pv)
+    levels >>= 32
+    np.divide(np.subtract(n_q, levels, out=levels), n_q, out=qv)
+    return _step_sum(grid, pv, qv, levels.view(np.float64), t, ws.array("mask", size, bool))
 
 
 def fit_report(
@@ -146,8 +168,9 @@ def fit_report(
     ci_config = replace(config, seed=derive_seed(config.seed, "bootstrap", family.value))
     # the replicates resample positions in the pooled values, not the values
     pooled, model_pos, data_pos = _pool(model_sample, data)
+    ws = _Workspace()
     ci = bootstrap_ci(
-        lambda m, d: _esjs_of_positions(pooled, m, d, bins),
+        lambda m, d: _esjs_of_positions(pooled, m, d, bins, ws),
         (model_pos, data_pos),
         ci_config,
         workers=workers,

@@ -143,24 +143,25 @@ def _snap_up(x: np.ndarray, lo: float, hi: float, bins: int) -> tuple[np.ndarray
         raise ValueError(f"cannot split ({lo}, {hi}) into {bins} float64 bins")
 
     def edge(k):
-        # np.linspace(lo, hi, bins + 1)[k], bit for bit; k is non-decreasing,
-        # so the indices equal to bins form a tail
-        e = k * step
-        e += lo
-        e[np.searchsorted(k, bins) :] = hi
-        return e
+        # np.linspace(lo, hi, bins + 1)[k], bit for bit, written over k;
+        # k is non-decreasing, so the indices equal to bins form a tail
+        tail = np.searchsorted(k, bins)
+        k *= step
+        k += lo
+        k[tail:] = hi
+        return k
 
     # the arithmetic guess can be one edge off, because the edges carry
-    # linspace's rounding; x is sorted, so k stays non-decreasing
-    guess = x - lo
-    guess /= step
-    np.ceil(guess, out=guess)
-    np.clip(guess, 1, bins, out=guess)
-    k = guess.astype(np.intp)
-    k += edge(k) < x
-    k -= (k > 1) & (edge(k - 1) >= x)
-    # each occupied edge ends a run of equal k
-    ends = np.flatnonzero(np.diff(k, append=bins + 1))
+    # linspace's rounding; x is sorted, so k stays non-decreasing (whole
+    # numbers in float64, so that no temporary is wider than one array)
+    k = x - lo
+    k /= step
+    np.ceil(k, out=k)
+    np.clip(k, 1, bins, out=k)
+    k += edge(k.copy()) < x
+    k -= (k > 1) & (edge(k - 1.0) >= x)
+    # each occupied edge ends a run of equal k; the last run ends with x
+    ends = np.flatnonzero(np.append(k[1:] != k[:-1], x.size > 0))
     return edge(k[ends]), ends
 
 

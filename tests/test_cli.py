@@ -517,6 +517,13 @@ class TestRunScaling:
             run(["scaling", "--given", "normal:0,1", "--sizes", "1,2", "--seed", "9"])
         assert exc.value.code == 1
 
+    def test_workers_is_a_usage_error(self):
+        # scaling runs no bootstrap, so it has no replicate threads to set
+        with pytest.raises(SystemExit) as exc:
+            run(["scaling", "--given", "normal:0,1", "--sizes", "16,64", "--seed", "9",
+                 "--workers", "3"])
+        assert exc.value.code == 1
+
 
 # ties come from repeated draws of the sampled values
 FUZZ_VALUES = st.one_of(

@@ -318,6 +318,30 @@ class TestFitIterative:
         for t, q75 in _QGAUSSIAN_START_QUARTILES:
             assert q75 == float(special.stdtrit(t - 1.0, 0.75))
 
+    @given(
+        st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=40),
+        st.sampled_from([1e-300, 1e-160, 1e-3, 1.0]) | st.floats(1e-300, 1e300),
+    )
+    @example([1e200, -3.0, 0.0], 1e-200)  # z2 overflows for one value
+    def test_qgaussian_sums_equal_the_three_sum_formula(self, xs, w):
+        from esjs.distributions import (
+            _log1p_z2, _qgaussian_log_norm, _qgaussian_loglik, _qgaussian_sums,
+        )
+
+        x = np.array(xs)
+        with np.errstate(over="ignore", invalid="ignore"):
+            z2 = (x / w) ** 2
+            u = np.log1p(z2)
+            big = ~np.isfinite(u)
+            u = np.where(big, 2.0 * (np.log(np.where(big, np.abs(x), 1.0)) - math.log(w)), u)
+            r = np.where(np.isfinite(z2), z2 / (1.0 + z2), 1.0)
+        sums = (float(u.sum()), float(r.sum()), float((r * (3.0 - 2.0 * r)).sum()))
+        # the sums skip the isfinite pass only where no z2 overflowed
+        assert _log1p_z2(x, w)[2] == (not np.all(np.isfinite(z2)))
+        assert _qgaussian_sums(x, w) == sums
+        norm = _qgaussian_log_norm(3.0, w)
+        assert _qgaussian_loglik(x, 3.0, w) == float(x.size * norm - 0.5 * 3.0 * sums[0])
+
     def test_qgaussian_where_the_moments_underflow(self):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

@@ -17,7 +17,7 @@ from esjs import (
     simulate_experiment,
     support_problem,
 )
-from esjs.gof import _esjs_between, _esjs_of_positions, _pool
+from esjs.gof import _Workspace, _esjs_between, _esjs_of_positions, _pool
 
 NORMAL01 = ParametricModel(Family.NORMAL, (0.0, 1.0))
 
@@ -99,25 +99,58 @@ class TestReplicateSweep:
               BootstrapConfig(resamples=3, seed=1)))
     @example((SortedSample.from_data([1.0, 1.0, 3.0]), SortedSample.from_data([1.0]), 10**6,
               BootstrapConfig(resamples=8, seed=1, block_length=1)))
+    # p lies below q, so p's survival is 0 where q's is still 1: the integrand's
+    # masked slots
+    @example((SortedSample.from_data([1.0, 2.0, 2.0]), SortedSample.from_data([5.0, 6.0, 7.5]),
+              None, BootstrapConfig(resamples=4, seed=2)))
     def test_positions_statistic_equals_the_values_statistic(self, case):
-        # the same draws, scored from positions in the pooled values and from
-        # the resampled values themselves
+        # the same draws, scored from positions in the pooled values on one
+        # and on two threads, and from the resampled values themselves
         p, q, bins, config = case
         pooled, p_pos, q_pos = _pool(p, q)
         assert np.array_equal(pooled[p_pos], p.values)
         assert np.array_equal(pooled[q_pos], q.values)
-        got = replicate_values(
-            lambda m, d: _esjs_of_positions(pooled, m, d, bins), (p_pos, q_pos), config
+        ws = _Workspace()
+        point = _esjs_of_positions(pooled, p_pos, q_pos, bins, ws)
+        one, two = (
+            replicate_values(
+                lambda m, d: _esjs_of_positions(pooled, m, d, bins, ws),
+                (p_pos, q_pos),
+                config,
+                workers=workers,
+            )
+            for workers in (1, 2)
         )
+        np.testing.assert_array_equal(one, two)
         want = replicate_values(
             lambda m, d: _esjs_between(SortedSample.from_data(m), SortedSample.from_data(d), bins),
             (p.values, q.values),
             config,
         )
         if bins is None:
-            np.testing.assert_array_equal(got, want)
+            assert point == _esjs_between(p, q, bins)
+            np.testing.assert_array_equal(one, want)
         else:
-            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+            assert point == pytest.approx(_esjs_between(p, q, bins), rel=1e-12, abs=0.0)
+            np.testing.assert_allclose(one, want, rtol=1e-12, atol=0.0)
+
+    @given(st.lists(resampled_pairs(), min_size=2, max_size=4))
+    def test_a_reused_workspace_scores_as_a_fresh_one(self, cases):
+        # pooled sizes and grids change from pair to pair, so a longer pair
+        # leaves slots past the end of the next one
+        ws = _Workspace()
+        for p, q, bins, config in cases:
+            pooled, p_pos, q_pos = _pool(p, q)
+            for b in (None, bins):
+                reused = replicate_values(
+                    lambda m, d: _esjs_of_positions(pooled, m, d, b, ws), (p_pos, q_pos), config
+                )
+                fresh = replicate_values(
+                    lambda m, d: _esjs_of_positions(pooled, m, d, b, _Workspace()),
+                    (p_pos, q_pos),
+                    config,
+                )
+                np.testing.assert_array_equal(reused, fresh)
 
 
 class TestSimulateExperiment:
