@@ -450,8 +450,7 @@ def _fit_beta(x: np.ndarray) -> tuple[float, float]:
 
 
 def _log1p_z2(x: np.ndarray, w: float) -> tuple[np.ndarray, np.ndarray, bool]:
-    # log1p(z2), z2 = (x/w)^2, and whether z2 overflows; where it does, the
-    # log is 2 (log|x| - log w)
+    # log1p(z2), z2 = (x/w)^2 and whether z2 overflows; there the log is 2 (log|x| - log w)
     with np.errstate(over="ignore"):
         z2 = (x / w) ** 2
     u = np.log1p(z2)
@@ -465,11 +464,10 @@ def _qgaussian_sums(x: np.ndarray, w: float) -> tuple[float, float, float]:
     # sums of log1p((x/w)^2), r = x^2/(w^2+x^2) and r(3-2r)
     u, z2, overflowed = _log1p_z2(x, w)
     su = float(u.sum())
-    if overflowed:
-        with np.errstate(invalid="ignore"):
-            r = np.where(np.isfinite(z2), z2 / (1.0 + z2), 1.0)
-    else:  # the same arithmetic in two arrays, where every z2 is finite
+    with np.errstate(invalid="ignore"):  # inf / inf where z2 overflowed
         r = np.divide(z2, np.add(1.0, z2, out=u), out=u)
+    if overflowed:
+        r[~np.isfinite(z2)] = 1.0
     rr = np.multiply(2.0, r, out=z2)
     np.multiply(r, np.subtract(3.0, rr, out=rr), out=rr)
     return su, float(r.sum()), float(rr.sum())

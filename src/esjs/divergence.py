@@ -29,12 +29,13 @@ __all__ = [
 ]
 
 
-def _integrand(pv, qv, out, t, pos) -> np.ndarray:
+def _integrand(pv: np.ndarray, qv: np.ndarray,
+               out: np.ndarray, t: np.ndarray, pos: np.ndarray) -> np.ndarray:
     """1/2 (P log(P/M) + Q log(Q/M)) with M = (P+Q)/2 and 0 log 0 := 0, into ``out``.
 
     Every pass writes into the arguments, so a caller that reuses its buffers
-    allocates nothing: ``pv`` is overwritten, and the float64 ``t`` and the
-    bool ``pos``, as long as ``pv``, are scratch.
+    allocates nothing.  Buffers: ``pv`` is overwritten; ``t`` (float64) and
+    ``pos`` (bool) are scratch; all five are as long as ``pv`` and distinct.
     """
     m = np.add(pv, qv, out=out)
     m *= 0.5
@@ -61,25 +62,27 @@ def esjs(p: StepSurvival, q: StepSurvival) -> float:
     grid = np.union1d(p.breakpoints, q.breakpoints)
     pv, qv = p(grid), q(grid)
     out, t, pos = np.empty(grid.size), np.empty(grid.size), np.empty(grid.size, dtype=bool)
-    if float(_integrand(pv[-1:].copy(), qv[-1:], out[-1:], t[-1:], pos[-1:])[0]) != 0.0:
+    # the tail check writes pv[-1], which the sum over the grid's cells never reads
+    if float(_integrand(pv[-1:], qv[-1:], out[-1:], t[-1:], pos[-1:])[0]) != 0.0:
         return math.inf
     return _step_sum(grid, pv, qv, out, t, pos)
 
 
-def _step_sum(grid, pv, qv, out, t, pos) -> float:
+def _step_sum(grid: np.ndarray, pv: np.ndarray, qv: np.ndarray,
+              out: np.ndarray, t: np.ndarray, pos: np.ndarray) -> float:
     """Exact integral of the integrand of two step functions over ``grid``.
 
     The functions take ``pv[k]`` and ``qv[k]`` on ``[grid[k], grid[k+1])``;
     the caller has checked that the integrand is 0 outside the grid.
-    ``grid`` and ``pv`` are overwritten, and ``out``, ``t`` and ``pos`` are
-    :func:`_integrand`'s buffers, as long as the grid.
+    Buffers: ``grid`` and ``qv`` are read only; ``pv``, ``out``, ``t`` and
+    ``pos`` are :func:`_integrand`'s, and no two of the six may overlap.
     """
     n = grid.size - 1
     if n == 0:
         return 0.0
-    widths = np.subtract(grid[1:], grid[:-1], out=grid[:-1])
-    widths *= _integrand(pv[:n], qv[:n], out[:n], t[:n], pos[:n])
-    return float(np.sum(widths)) + 0.0
+    integrand = _integrand(pv[:n], qv[:n], out[:n], t[:n], pos[:n])
+    widths = np.subtract(grid[1:], grid[:-1], out=t[:n])  # t is free again
+    return float(np.sum(np.multiply(widths, integrand, out=widths))) + 0.0
 
 
 def esjs_spacings(p_sample: SortedSample, q_sample: SortedSample) -> float:

@@ -96,14 +96,12 @@ class _Workspace(threading.local):
     for each replicate go back to the system when freed, and the next replicate
     faults their pages in again.  An array grows only when it is too short."""
 
-    def __init__(self):
-        self._arrays = {}
-
     def array(self, name: str, size: int, dtype=np.float64) -> np.ndarray:
-        if name not in self._arrays or self._arrays[name].size < size:
-            self._arrays.pop(name, None)  # the old array goes before the new one is made
-            self._arrays[name] = np.empty(size, dtype)
-        return self._arrays[name][:size]
+        arrays = vars(self)  # a threading.local keeps one such dict per thread
+        if name not in arrays or arrays[name].size < size:
+            arrays.pop(name, None)  # the old array goes before the new one is made
+            arrays[name] = np.empty(size, dtype)
+        return arrays[name][:size]
 
 
 def _esjs_of_positions(
@@ -120,8 +118,8 @@ def _esjs_of_positions(
     # One packed count per pooled value: p's draws in the low 32 bits, q's in
     # the high 32 bits (sizes stay below 2^31).  Memory is what limits a
     # replicate, so spent arrays take later stages: the counts' memory holds
-    # the grid (and, binned, the snapped levels), the levels' memory the
-    # integrand, and the mask's the integrand's sign mask.
+    # the grid (binned: the levels; _snap_up's grid is new), the levels' memory
+    # the integrand, and the mask's the integrand's sign mask.
     counts = ws.array("counts", x.size, np.int64)
     counts.fill(0)
     np.add.at(counts, p_pos, 1)

@@ -136,7 +136,7 @@ def _snap_up(x: np.ndarray, lo: float, hi: float, bins: int) -> tuple[np.ndarray
     where needed.  Each value goes to the first edge at or above it (values
     below ``lo`` to the first edge after ``lo``).  Returns the occupied
     edges, increasing, and for each the index in ``x`` of the last value
-    snapped to it.
+    snapped to it, both new arrays.
     """
     step = (hi - lo) / bins
     if not 0.0 < step < math.inf:

@@ -16,6 +16,8 @@ from esjs import (
     survival_entropy,
 )
 
+from esjs.divergence import _step_sum
+
 from conftest import random_sample, segment_esjs_oracle
 
 
@@ -64,6 +66,20 @@ class TestEsjs:
         p = empirical_survival(SortedSample.from_data([0.0, 1.0]))
         q = empirical_survival(SortedSample.from_data([0.5, 1.5]))
         assert esjs(p, q) > 0.0
+
+
+class TestStepSum:
+    def test_reads_grid_and_qv_only(self):
+        # the bootstrap workspace keeps the grid and q's levels in memory it
+        # reuses, so the sum may write only into pv and its own buffers
+        rng = np.random.default_rng(8)
+        p, q = _pair(rng)
+        grid = np.union1d(p.breakpoints, q.breakpoints)
+        pv, qv = p(grid), q(grid)
+        grid0, qv0 = grid.copy(), qv.copy()
+        buffers = np.empty(grid.size), np.empty(grid.size), np.empty(grid.size, dtype=bool)
+        assert _step_sum(grid, pv, qv, *buffers) == esjs(p, q)
+        assert np.array_equal(grid, grid0) and np.array_equal(qv, qv0)
 
 
 class TestEsjsSpacings:
