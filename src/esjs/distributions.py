@@ -45,7 +45,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import special
 
 from .survival import SortedSample
 
@@ -64,8 +63,43 @@ __all__ = [
 ]
 
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+_LOG_10 = (2.302585092994046, -2.1707562233822494e-16)  # log(10) = hi + lo, to 2^-104
 _MAX_ITER = 200
 _SCORE_TOL = 1e-6
+
+
+def _special():
+    from scipy import special  # 0.3 s to import: only survival_of and the qgaussian fit need it
+    return special
+
+
+def _digamma(x: float) -> float:
+    """psi(x), x > 0: psi(x + 1) - 1/x up to x >= 10, then the series to its x^-14 term.
+
+    Cut at x^-10 the series is 2e-14 off near x = 1-3.  From 10 up this is scipy's sum,
+    bit for bit; below, log(10) + log1p((x-10)/10) and the terms are summed exactly."""
+    terms = []
+    while x < 10.0:
+        terms.append(-1.0 / x)
+        x += 1.0
+    z = 1.0 / (x * x)
+    tail = z * ((((((1 / 12 * z - 691 / 32760) * z + 1 / 132) * z - 1 / 240) * z
+                  + 1 / 252) * z - 1 / 120) * z + 1 / 12)
+    if not terms:
+        return math.log(x) - 0.5 / x - tail
+    return math.fsum([*_LOG_10, math.log1p((x - 10.0) / 10.0), -0.5 / x, -tail, *terms])
+
+
+def _trigamma(x: float) -> float:
+    """psi'(x), x > 0: psi'(x + 1) + 1/x^2 up to x >= 10, then the series to x^-19."""
+    terms = []
+    while x < 10.0:
+        terms.append(1.0 / (x * x))
+        x += 1.0
+    z = 1.0 / (x * x)
+    tail = ((((((((43867 / 798 * z - 3617 / 510) * z + 7 / 6) * z - 691 / 2730) * z
+                + 5 / 66) * z - 1 / 30) * z + 1 / 42) * z - 1 / 30) * z + 1 / 6) * z / x
+    return math.fsum([1.0 / x, 0.5 * z, tail, *terms])
 
 
 class SupportError(ValueError):
@@ -294,7 +328,7 @@ def _normal_score(d: np.ndarray, sd: float) -> np.ndarray:
 
 def _gamma_score(x: np.ndarray, k: float, tau: float) -> np.ndarray:
     n = x.size
-    g_k = float(np.log(x).sum()) - n * float(special.digamma(k)) - n * math.log(tau)
+    g_k = float(np.log(x).sum()) - n * _digamma(k) - n * math.log(tau)
     g_tau = (float(x.sum()) / tau - n * k) / tau
     return np.array([g_k, g_tau])
 
@@ -316,9 +350,9 @@ def _weibull_power(x: np.ndarray, k: float, tau: float) -> np.ndarray:
 
 def _beta_score(x: np.ndarray, a: float, b: float) -> np.ndarray:
     n = x.size
-    psi_ab = float(special.digamma(a + b))
-    g_a = float(np.log(x).sum()) - n * (float(special.digamma(a)) - psi_ab)
-    g_b = float(np.log1p(-x).sum()) - n * (float(special.digamma(b)) - psi_ab)
+    psi_ab = _digamma(a + b)
+    g_a = float(np.log(x).sum()) - n * (_digamma(a) - psi_ab)
+    g_b = float(np.log1p(-x).sum()) - n * (_digamma(b) - psi_ab)
     return np.array([g_a, g_b])
 
 
@@ -373,7 +407,8 @@ def _solve_shape(family: str, k: float, f_and_fprime) -> float:
         if abs(k_next - k) <= 1e-15 * max(1.0, abs(k)):
             return k_next
         k = k_next
-    raise ConvergenceError(f"{family} shape iteration did not converge (shape={k:.6g})")
+    raise ConvergenceError(f"{family} shape iteration did not converge after {_MAX_ITER} "
+                           f"iterations (shape={k:.6g}, residual={f:.3g})")
 
 
 def _fit_gamma(x: np.ndarray) -> tuple[float, float]:
@@ -383,9 +418,7 @@ def _fit_gamma(x: np.ndarray) -> tuple[float, float]:
         raise ValueError("gamma fit requires a non-constant sample")
     # log-moment initialisation, then Newton on log k - digamma(k) = s
     k = (3.0 - s + math.sqrt((s - 3.0) ** 2 + 24.0 * s)) / (12.0 * s)
-    k = _solve_shape("gamma", k, lambda k: (
-        math.log(k) - float(special.digamma(k)) - s, 1.0 / k - float(special.polygamma(1, k))
-    ))
+    k = _solve_shape("gamma", k, lambda k: (math.log(k) - _digamma(k) - s, 1.0 / k - _trigamma(k)))
     return k, mean / k
 
 
@@ -422,14 +455,14 @@ def _fit_beta(x: np.ndarray) -> tuple[float, float]:
     g1 = float(np.log(x).mean())
     g2 = float(np.log1p(-x).mean())
     for _ in range(_MAX_ITER):
-        psi_ab = float(special.digamma(a + b))
-        r1 = g1 - (float(special.digamma(a)) - psi_ab)
-        r2 = g2 - (float(special.digamma(b)) - psi_ab)
-        if max(abs(r1), abs(r2)) <= 1e-13:
+        psi_ab = _digamma(a + b)
+        r1 = g1 - (_digamma(a) - psi_ab)
+        r2 = g2 - (_digamma(b) - psi_ab)
+        if (residual := max(abs(r1), abs(r2))) <= 1e-13:
             break
-        t_ab = float(special.polygamma(1, a + b))
-        j11 = t_ab - float(special.polygamma(1, a))
-        j22 = t_ab - float(special.polygamma(1, b))
+        t_ab = _trigamma(a + b)
+        j11 = t_ab - _trigamma(a)
+        j22 = t_ab - _trigamma(b)
         det = j11 * j22 - t_ab * t_ab
         if det == 0:
             raise ConvergenceError("beta fit: singular Newton system")
@@ -443,9 +476,8 @@ def _fit_beta(x: np.ndarray) -> tuple[float, float]:
             break
         a, b = a + da, b + db
     else:
-        raise ConvergenceError(
-            f"beta fit did not converge (alpha={a:.6g}, beta={b:.6g})"
-        )
+        raise ConvergenceError(f"beta fit did not converge after {_MAX_ITER} iterations "
+                               f"(alpha={a:.6g}, beta={b:.6g}, residual={residual:.3g})")
     return a, b
 
 
@@ -476,8 +508,12 @@ def _qgaussian_sums(x: np.ndarray, w: float) -> tuple[float, float, float]:
 def _qgaussian_score_hessian(
     x: np.ndarray, t: float, w: float
 ) -> tuple[np.ndarray, np.ndarray]:
+    # scipy's gamma functions, not the scalar ones above: the fit's likelihood
+    # is flat in the tail, so any change to this arithmetic moves its result past
+    # 1e-12.  They switch to _digamma and _trigamma with a Newton-only fitter.
     n = x.size
     su, sr, sr3 = _qgaussian_sums(x, w)
+    special = _special()
     psi_gap = float(special.digamma(0.5 * t) - special.digamma(0.5 * (t - 1.0)))
     tri_gap = float(special.polygamma(1, 0.5 * t) - special.polygamma(1, 0.5 * (t - 1.0)))
     g = np.array([0.5 * n * psi_gap - 0.5 * su, (t * sr - n) / w])
@@ -491,7 +527,8 @@ def _qgaussian_score_hessian(
 
 
 def _qgaussian_log_norm(t: float, w: float) -> float:
-    # log of the density's normalising constant
+    # log of the density's normalising constant (scipy's gammaln: see above)
+    special = _special()
     return (
         special.gammaln(0.5 * t)
         - special.gammaln(0.5 * (t - 1.0))
@@ -617,7 +654,7 @@ _FAMILIES = {
         names=("mean", "sd"),
         rules=((lambda mu, sd: sd > 0, "sd > 0"),),
         log_density=_normal_log_density,
-        survival=lambda x, mu, sd: special.ndtr((mu - x) / sd),
+        survival=lambda x, mu, sd: _special().ndtr((mu - x) / sd),
         draw=lambda rng, n, mu, sd: rng.normal(mu, sd, n),
         score=lambda x, mu, sd: _normal_score(x - mu, sd),
         fit=_fit_normal,
@@ -636,7 +673,7 @@ _FAMILIES = {
         names=("log_mean", "log_sd"),
         rules=((lambda mu, sd: sd > 0, "sd > 0"),),
         log_density=_lognormal_log_density,
-        survival=lambda x, mu, sd: special.ndtr((mu - np.log(x)) / sd),
+        survival=lambda x, mu, sd: _special().ndtr((mu - np.log(x)) / sd),
         draw=lambda rng, n, mu, sd: rng.lognormal(mu, sd, n),
         score=lambda x, mu, sd: _normal_score(np.log(x) - mu, sd),
         fit=_fit_lognormal,
@@ -647,9 +684,9 @@ _FAMILIES = {
         names=("shape", "scale"),
         rules=((lambda k, tau: k > 0 and tau > 0, "shape > 0 and scale > 0"),),
         log_density=lambda x, k, tau: (
-            (k - 1.0) * np.log(x) - x / tau - special.gammaln(k) - k * math.log(tau)
+            (k - 1.0) * np.log(x) - x / tau - math.lgamma(k) - k * math.log(tau)
         ),
-        survival=lambda x, k, tau: special.gammaincc(k, x / tau),
+        survival=lambda x, k, tau: _special().gammaincc(k, x / tau),
         draw=lambda rng, n, k, tau: rng.gamma(k, tau, n),
         score=_gamma_score,
         fit=_fit_gamma,
@@ -679,9 +716,9 @@ _FAMILIES = {
         log_density=lambda x, a, b: (
             (a - 1.0) * np.log(x)
             + (b - 1.0) * np.log1p(-x)
-            + (special.gammaln(a + b) - special.gammaln(a) - special.gammaln(b))
+            + (math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b))
         ),
-        survival=lambda x, a, b: 1.0 - special.betainc(a, b, x),
+        survival=lambda x, a, b: 1.0 - _special().betainc(a, b, x),
         draw=lambda rng, n, a, b: rng.beta(a, b, n),
         score=_beta_score,
         fit=_fit_beta,
@@ -693,7 +730,7 @@ _FAMILIES = {
         names=("tail", "width"),
         rules=((lambda t, w: t > 1, "tail exponent > 1"), (lambda t, w: w > 0, "width > 0")),
         log_density=lambda x, t, w: _qgaussian_log_norm(t, w) - 0.5 * t * _log1p_z2(x, w)[0],
-        survival=lambda x, t, w: special.stdtr(t - 1.0, -x * math.sqrt(t - 1.0) / w),
+        survival=lambda x, t, w: _special().stdtr(t - 1.0, -x * math.sqrt(t - 1.0) / w),
         draw=lambda rng, n, t, w: rng.standard_t(t - 1.0, n) * (w / math.sqrt(t - 1.0)),
         score=lambda x, t, w: _qgaussian_score_hessian(x, t, w)[0],
         fit=_fit_qgaussian,

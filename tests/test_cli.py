@@ -502,6 +502,78 @@ class TestEntrypoint:
         assert "Exception ignored" not in proc.stderr
 
 
+# Runs in a fresh interpreter: the pipeline on every family but qgaussian must
+# leave scipy unloaded; a qgaussian fit and survival_of then load it and work.
+_STARTUP_SCRIPT = """
+import contextlib, io, json, sys
+import numpy as np
+import esjs.cli
+from esjs import Family, ParametricModel, fit_mle, sample_from, survival_of
+
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith("scipy"))
+
+out = {"import": loaded()}
+codes = []
+with contextlib.redirect_stdout(io.StringIO()):
+    codes.append(esjs.cli.run([
+        "simulate", "--given", "gamma:2,2", "--hypotheses", "gamma,weibull,lognormal,normal",
+        "--n", "2000", "--bootstrap", "5", "--seed", "3",
+    ]))
+    codes.append(esjs.cli.run([
+        "compare", "--input", sys.argv[1], "--bootstrap", "5", "--seed", "3", "--families",
+        "normal,uniform,lognormal,gamma,weibull,beta,exponential,pareto",
+    ]))
+out["codes"], out["pipeline"] = codes, loaded()
+sample = sample_from(ParametricModel(Family.Q_GAUSSIAN, (4.0, 1.0)), 400, 11)
+out["qgaussian"] = fit_mle(Family.Q_GAUSSIAN, sample).params
+out["survival"] = {
+    name: survival_of(ParametricModel(Family.parse(name), params), json.loads(sys.argv[2])).tolist()
+    for name, params in json.loads(sys.argv[3]).items()
+}
+out["after"] = loaded()
+print(json.dumps(out))
+"""
+
+
+class TestStartUp:
+    def test_scipy_loads_only_for_qgaussian_fits_and_survival_of(self, tmp_path):
+        from scipy import stats
+
+        # beta needs data in (0, 1); pareto (data >= 1) is skipped with its reason
+        data = np.random.default_rng(5).beta(2.0, 3.0, 300)
+        path = write(tmp_path, "x.csv", "\n".join(map(repr, data.tolist())) + "\n")
+        points = [0.05, 0.3, 0.7, 1.5, 2.5, 6.0]
+        models = {
+            "normal": ((0.5, 2.0), stats.norm(0.5, 2.0)),
+            "uniform": ((-1.0, 3.0), stats.uniform(-1.0, 4.0)),
+            "lognormal": ((0.2, 0.7), stats.lognorm(0.7, scale=np.exp(0.2))),
+            "gamma": ((2.5, 1.5), stats.gamma(2.5, scale=1.5)),
+            "weibull": ((1.5, 2.0), stats.weibull_min(1.5, scale=2.0)),
+            "beta": ((2.0, 3.0), stats.beta(2.0, 3.0)),
+            "qgaussian": ((4.0, 1.0), stats.t(3.0, scale=1.0 / np.sqrt(3.0))),
+            "exponential": ((1.5,), stats.expon(scale=1.5)),
+            "pareto": ((2.5,), stats.pareto(2.5)),
+        }
+        src = os.path.dirname(os.path.dirname(os.path.abspath(esjs.gof.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-c", _STARTUP_SCRIPT, path, json.dumps(points),
+             json.dumps({name: params for name, (params, _) in models.items()})],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0, proc.stderr
+        out = json.loads(proc.stdout)
+        assert out["import"] == []
+        assert out["codes"] == [0, 0]
+        assert out["pipeline"] == []
+        # the fit scipy's gamma functions and L-BFGS-B gave before they loaded lazily
+        assert out["qgaussian"] == [3.5747095559318813, 0.9479306350708966]
+        for name, (_, dist) in models.items():
+            assert out["survival"][name] == pytest.approx(dist.sf(points), rel=1e-14, abs=0)
+        assert "scipy.special" in out["after"]
+
+
 class TestRunScaling:
     def test_report_with_powerlaw(self, capsys):
         code = run([
