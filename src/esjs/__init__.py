@@ -5,86 +5,18 @@ with the divergence between empirical survival functions, attach bootstrap
 confidence intervals, and rank competing families by divergence factors.
 """
 
-from .bootstrap import (
-    BootstrapConfig,
-    ConfidenceInterval,
-    bootstrap_ci,
-    moving_block_resample,
-    percentile_of_replicates,
-    replicate_values,
-)
-from .distributions import (
-    ConvergenceError,
-    Family,
-    ParametricModel,
-    SupportError,
-    density,
-    fit_mle,
-    log_likelihood,
-    log_likelihood_gradient,
-    sample_from,
-    support_problem,
-    survival_of,
-)
-from .divergence import EsjsFactor, esjs, esjs_distance, esjs_factor, esjs_spacings
-from .gof import (
-    ExperimentReport,
-    FitReport,
-    ScalingRow,
-    compare_families,
-    fit_report,
-    powerlaw_fit,
-    scaling_experiment,
-    simulate_experiment,
-)
-from .seeds import derive_seed
-from .survival import (
-    DEFAULT_BINS,
-    SortedSample,
-    StepSurvival,
-    empirical_survival,
-    km_binned_survival,
-    survival_entropy,
-)
+from . import bootstrap, distributions, divergence, gof, seeds, survival
+from .bootstrap import *  # noqa: F403
+from .distributions import *  # noqa: F403
+from .divergence import *  # noqa: F403
+from .gof import *  # noqa: F403
+from .seeds import *  # noqa: F403
+from .survival import *  # noqa: F403
 
 __version__ = "0.1.0"
 
+# each public name is declared once, in its own module's __all__
 __all__ = [
-    "BootstrapConfig",
-    "ConfidenceInterval",
-    "ConvergenceError",
-    "DEFAULT_BINS",
-    "EsjsFactor",
-    "ExperimentReport",
-    "Family",
-    "FitReport",
-    "ParametricModel",
-    "ScalingRow",
-    "SortedSample",
-    "StepSurvival",
-    "SupportError",
-    "bootstrap_ci",
-    "compare_families",
-    "density",
-    "derive_seed",
-    "empirical_survival",
-    "esjs",
-    "esjs_distance",
-    "esjs_factor",
-    "esjs_spacings",
-    "fit_mle",
-    "fit_report",
-    "km_binned_survival",
-    "log_likelihood",
-    "log_likelihood_gradient",
-    "moving_block_resample",
-    "percentile_of_replicates",
-    "powerlaw_fit",
-    "replicate_values",
-    "sample_from",
-    "scaling_experiment",
-    "simulate_experiment",
-    "support_problem",
-    "survival_entropy",
-    "survival_of",
+    *bootstrap.__all__, *distributions.__all__, *divergence.__all__,
+    *gof.__all__, *seeds.__all__, *survival.__all__,
 ]

@@ -57,7 +57,6 @@ __all__ = [
     "survival_of",
     "sample_from",
     "log_likelihood",
-    "log_likelihood_gradient",
     "fit_mle",
     "support_problem",
 ]
@@ -102,6 +101,14 @@ def _trigamma(x: float) -> float:
     return math.fsum([1.0 / x, 0.5 * z, tail, *terms])
 
 
+def _lgamma(x: float) -> float:
+    """log Gamma(x), x > 0; inf where math.lgamma overflows (x above about 2.5e305)."""
+    try:
+        return math.lgamma(x)
+    except OverflowError:
+        return math.inf
+
+
 class SupportError(ValueError):
     """Data lies outside the support required by a family."""
 
@@ -120,10 +127,6 @@ class Family(enum.Enum):
     Q_GAUSSIAN = "qgaussian"
     EXPONENTIAL = "exponential"
     PARETO = "pareto"
-
-    @property
-    def param_count(self) -> int:
-        return len(_FAMILIES[self].names)
 
     @classmethod
     def parse(cls, name: str) -> "Family":
@@ -249,18 +252,6 @@ def log_likelihood(model: ParametricModel, sample: SortedSample) -> float:
     return float(np.sum(_log_density_array(model, sample.values)))
 
 
-def log_likelihood_gradient(model: ParametricModel, sample: SortedSample) -> np.ndarray:
-    """Analytic gradient of the log-likelihood in the model's parameters.
-
-    Not defined for the uniform family, whose maximum sits on the boundary
-    of the admissible region.
-    """
-    score = _FAMILIES[model.family].score
-    if score is None:
-        raise ValueError(f"gradient not defined for family {model.family.value}")
-    return score(sample.values, *model.params)
-
-
 def support_problem(family: Family, sample: SortedSample) -> str | None:
     """Reason ``family`` cannot be fitted to ``sample``, or None if it can."""
     spec = _FAMILIES[family]
@@ -356,11 +347,12 @@ def _beta_score(x: np.ndarray, a: float, b: float) -> np.ndarray:
     return np.array([g_a, g_b])
 
 
-def _fit_normal(x: np.ndarray) -> tuple[float, float]:
+def _fit_normal(x: np.ndarray, family: str = "normal") -> tuple[float, float]:
+    # lognormal is this fit to log x
     mu = float(x.mean())
     sd = float(np.sqrt(np.mean((x - mu) ** 2)))
     if sd == 0:
-        raise ValueError("normal fit requires a non-constant sample")
+        raise ValueError(f"{family} fit requires a non-constant sample")
     return mu, sd
 
 
@@ -369,15 +361,6 @@ def _fit_uniform(x: np.ndarray) -> tuple[float, float]:
     if not lo < hi:
         raise ValueError("uniform fit requires a non-constant sample")
     return lo, hi
-
-
-def _fit_lognormal(x: np.ndarray) -> tuple[float, float]:
-    lx = np.log(x)
-    mu = float(lx.mean())
-    sd = float(np.sqrt(np.mean((lx - mu) ** 2)))
-    if sd == 0:
-        raise ValueError("lognormal fit requires a non-constant sample")
-    return mu, sd
 
 
 def _fit_exponential(x: np.ndarray) -> tuple[float]:
@@ -676,7 +659,7 @@ _FAMILIES = {
         survival=lambda x, mu, sd: _special().ndtr((mu - np.log(x)) / sd),
         draw=lambda rng, n, mu, sd: rng.lognormal(mu, sd, n),
         score=lambda x, mu, sd: _normal_score(np.log(x) - mu, sd),
-        fit=_fit_lognormal,
+        fit=lambda x: _fit_normal(np.log(x), "lognormal"),
         support=(0.0, math.inf),
         support_reason=_POSITIVE,
     ),
@@ -684,7 +667,7 @@ _FAMILIES = {
         names=("shape", "scale"),
         rules=((lambda k, tau: k > 0 and tau > 0, "shape > 0 and scale > 0"),),
         log_density=lambda x, k, tau: (
-            (k - 1.0) * np.log(x) - x / tau - math.lgamma(k) - k * math.log(tau)
+            (k - 1.0) * np.log(x) - x / tau - _lgamma(k) - k * math.log(tau)
         ),
         survival=lambda x, k, tau: _special().gammaincc(k, x / tau),
         draw=lambda rng, n, k, tau: rng.gamma(k, tau, n),
@@ -716,7 +699,7 @@ _FAMILIES = {
         log_density=lambda x, a, b: (
             (a - 1.0) * np.log(x)
             + (b - 1.0) * np.log1p(-x)
-            + (math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b))
+            + (_lgamma(a + b) - _lgamma(a) - _lgamma(b))
         ),
         survival=lambda x, a, b: 1.0 - _special().betainc(a, b, x),
         draw=lambda rng, n, a, b: rng.beta(a, b, n),

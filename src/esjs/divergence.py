@@ -24,7 +24,6 @@ __all__ = [
     "EsjsFactor",
     "esjs",
     "esjs_spacings",
-    "esjs_distance",
     "esjs_factor",
 ]
 
@@ -109,11 +108,6 @@ def esjs_spacings(p_sample: SortedSample, q_sample: SortedSample) -> float:
         - 0.5 * survival_entropy(p_sample)
         - 0.5 * survival_entropy(q_sample)
     )
-
-
-def esjs_distance(p: StepSurvival, q: StepSurvival) -> float:
-    """Square root of the divergence; a metric on step survival functions."""
-    return math.sqrt(esjs(p, q))
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,6 @@ from esjs import (
     SortedSample,
     empirical_survival,
     esjs,
-    esjs_distance,
     esjs_factor,
     esjs_spacings,
     km_binned_survival,
@@ -122,14 +121,7 @@ class TestEsjsSpacings:
 class TestEsjsDistance:
     def test_identity(self):
         surv = empirical_survival(SortedSample.from_data([1, 2, 3]))
-        assert esjs_distance(surv, surv) == 0.0
-
-    def test_square_root_relationship(self):
-        rng = np.random.default_rng(19)
-        for _ in range(20):
-            p, q = _pair(rng)
-            assert esjs_distance(p, q) == pytest.approx(math.sqrt(esjs(p, q)), rel=1e-15)
-        assert math.sqrt(0.04) == pytest.approx(0.2)
+        assert math.sqrt(esjs(surv, surv)) == 0.0
 
     def test_triangle_inequality(self):
         rng = np.random.default_rng(31)
@@ -137,7 +129,8 @@ class TestEsjsDistance:
             p = empirical_survival(random_sample(rng))
             q = empirical_survival(random_sample(rng))
             r = empirical_survival(random_sample(rng))
-            assert esjs_distance(p, r) <= esjs_distance(p, q) + esjs_distance(q, r) + 1e-12
+            d_pr, d_pq, d_qr = (math.sqrt(esjs(a, b)) for a, b in ((p, r), (p, q), (q, r)))
+            assert d_pr <= d_pq + d_qr + 1e-12
 
 
 class TestEsjsFactor:
@@ -216,3 +209,17 @@ class TestBinnedIsSnappedRaw:
 
         want = esjs_spacings(snap(p), snap(q))
         assert abs(got - want) <= 1e-12 * abs(want) + np.finfo(float).eps * (hi - lo)
+
+
+class TestThreeForms:
+    @given(equal_size_pairs())
+    def test_kernel_segment_oracle_and_spacings_agree(self, case):
+        # equal sizes, heavy ties, 400 decades of scale: the kernel on the
+        # empirical survivals, the segment-by-segment oracle and the
+        # order-statistics form are one number
+        p, q, _ = case
+        p_surv, q_surv = empirical_survival(p), empirical_survival(q)
+        want = segment_esjs_oracle(p_surv, q_surv)
+        span = max(p.max, q.max) - min(p.min, q.min)
+        for got in (esjs(p_surv, q_surv), esjs_spacings(p, q)):
+            assert abs(got - want) <= 1e-12 * want + np.finfo(float).eps * span

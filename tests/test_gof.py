@@ -1,3 +1,6 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -8,7 +11,10 @@ from esjs import (
     Family,
     ParametricModel,
     SortedSample,
+    bootstrap_ci,
     compare_families,
+    derive_seed,
+    fit_mle,
     fit_report,
     powerlaw_fit,
     sample_from,
@@ -151,6 +157,80 @@ class TestReplicateSweep:
                     config,
                 )
                 np.testing.assert_array_equal(reused, fresh)
+
+
+@st.composite
+def tied_samples(draw):
+    """A non-constant sample of 2 to 60 points on a few levels."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.integers(-100, 100))
+    levels = draw(st.sampled_from([1, 2, 5]))
+    units = rng.integers(-levels, levels + 1, draw(st.integers(2, 60)))
+    units[:2] = -levels, levels
+    return SortedSample.from_data(units / levels * scale)
+
+
+class TestTiesAndOnePoint:
+    @given(tied_samples(), st.sampled_from([Family.NORMAL, Family.UNIFORM]),
+           st.sampled_from([None, 1, 7, 1000, 10**6]))
+    def test_report_interval_is_the_values_path_interval(self, data, family, bins):
+        # a one-point model sample against tied data: the report's interval,
+        # from positions in the pooled values, is the one from the values
+        config = BootstrapConfig(resamples=8, seed=6)
+        report = fit_report(data, family, config, model_sample_size=1, bins=bins)
+        model_sample = sample_from(
+            fit_mle(family, data), 1, derive_seed(config.seed, "model", family.value)
+        )
+        want = bootstrap_ci(
+            lambda m, d: _esjs_between(SortedSample.from_data(m), SortedSample.from_data(d), bins),
+            (model_sample.values, data.values),
+            replace(config, seed=derive_seed(config.seed, "bootstrap", family.value)),
+        )
+        assert report.esjs == want.point
+        if bins is None:
+            assert report.ci == want
+        else:
+            assert (report.ci.point, report.ci.level) == (want.point, want.level)
+            assert report.ci.lb == pytest.approx(want.lb, rel=1e-12, abs=0.0)
+            assert report.ci.ub == pytest.approx(want.ub, rel=1e-12, abs=0.0)
+
+
+@st.composite
+def dyadic_shifts(draw):
+    """Two samples of multiples of 2^m with heavy ties, and c = 2^(m+j) with
+    |j| <= 30: each value plus c needs at most 51 bits, so the sum is exact."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.integers(-900, 900))
+    levels = draw(st.sampled_from([1, 2, 5, 2**20]))
+
+    def sample():
+        size = draw(st.integers(1, 60))
+        return SortedSample.from_data(np.ldexp(rng.integers(-levels, levels + 1, size), m))
+
+    p, q = sample(), sample()
+    return p, q, math.ldexp(1.0, m + draw(st.integers(-30, 30)))
+
+
+class TestDyadicShift:
+    @given(dyadic_shifts())
+    def test_raw_scores_are_bit_identical(self, case):
+        # an exact shift keeps every gap between values, and so the point
+        # score and every bootstrap replicate
+        p, q, c = case
+        shifted = SortedSample(p.values + c), SortedSample(q.values + c)
+        assert np.array_equal(shifted[0].values - c, p.values)
+        assert np.array_equal(shifted[1].values - c, q.values)
+        assert _esjs_between(*shifted, None) == _esjs_between(p, q, None)
+        config = BootstrapConfig(resamples=4, seed=3)
+        base, moved = (
+            replicate_values(
+                lambda m, d: _esjs_of_positions(pooled, m, d, None, _Workspace()),
+                (a_pos, b_pos),
+                config,
+            )
+            for pooled, a_pos, b_pos in (_pool(p, q), _pool(*shifted))
+        )
+        np.testing.assert_array_equal(base, moved)
 
 
 class TestSimulateExperiment:

@@ -1,0 +1,78 @@
+"""The public API: each name is declared once, and the library uses each one."""
+
+import ast
+import importlib
+import pathlib
+import pkgutil
+
+import esjs
+
+PACKAGE = pathlib.Path(esjs.__file__).parent
+PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+
+# Public names that nothing in the library calls, kept as references for the
+# tests: density and log_likelihood check the fitters (finite differences of
+# the likelihood, fitted against true likelihood), survival_of checks the
+# samplers and the empirical survival, and esjs_spacings, the paper's
+# order-statistics form, is an independent oracle for the kernel.
+TEST_REFERENCES = {"density", "log_likelihood", "survival_of", "esjs_spacings"}
+
+
+def _modules():
+    return [importlib.import_module(f"esjs.{m.name}") for m in pkgutil.iter_modules(esjs.__path__)]
+
+
+def _top_level_definitions(module) -> set[str]:
+    tree = ast.parse(pathlib.Path(module.__file__).read_text())
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    return names
+
+
+def _names_used(path: pathlib.Path) -> set[str]:
+    """Names read in ``path``, bare or as an attribute, outside the body of a
+    top-level definition of the same name; imports and ``__all__`` strings are
+    no use."""
+    used = set()
+    for top in ast.parse(path.read_text()).body:
+        own = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            else:
+                continue
+            if name != own:
+                used.add(name)
+    return used
+
+
+def test_each_public_name_is_declared_once_in_its_own_module():
+    declared: dict[str, list[str]] = {}
+    for module in _modules():
+        defined = _top_level_definitions(module)
+        assert [n for n in module.__all__ if n not in defined] == [], module.__name__
+        for name in module.__all__:
+            declared.setdefault(name, []).append(module.__name__)
+    assert len(set(esjs.__all__)) == len(esjs.__all__)
+    assert {n: declared.get(n, []) for n in esjs.__all__ if len(declared.get(n, [])) != 1} == {}
+    # the package gathers the modules' lists and writes no name itself
+    init = ast.parse((PACKAGE / "__init__.py").read_text())
+    written = {node.value for node in ast.walk(init) if isinstance(node, ast.Constant)}
+    written |= {node.name for node in ast.walk(init) if isinstance(node, ast.alias)}
+    assert written & set(esjs.__all__) == set()
+
+
+def test_each_public_name_has_a_caller():
+    files = sorted(PACKAGE.glob("*.py")) + sorted(PERFBENCH.glob("*.py"))
+    used = set().union(*(_names_used(path) for path in files))
+    public = set(esjs.__all__)
+    assert public - used - TEST_REFERENCES == set()
+    # a name leaves the list once the library calls it
+    assert TEST_REFERENCES <= public
+    assert TEST_REFERENCES & used == set()
