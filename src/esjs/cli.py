@@ -197,7 +197,10 @@ def _families_arg(text: str) -> list[Family]:
     names = [part for part in text.split(",") if part.strip()]
     if not names:
         raise argparse.ArgumentTypeError("expected a comma-separated list of families")
-    return [_family_arg(name) for name in names]
+    families = [_family_arg(name) for name in names]
+    if twice := [f.value for i, f in enumerate(families) if f in families[:i]]:
+        raise argparse.ArgumentTypeError(f"family {twice[0]} is named twice")
+    return families
 
 
 def _model_arg(text: str) -> ParametricModel:

@@ -475,8 +475,11 @@ def _log1p_z2(x: np.ndarray, w: float) -> tuple[np.ndarray, np.ndarray, bool]:
     return u, z2, overflowed
 
 
-def _qgaussian_sums(x: np.ndarray, w: float) -> tuple[float, float, float]:
-    # sums of log1p((x/w)^2), r = x^2/(w^2+x^2) and r(3-2r)
+def _qgaussian_terms(x: np.ndarray, t: float, w: float) -> tuple[float, np.ndarray, np.ndarray]:
+    """Log-likelihood, score and Hessian in (t, w) from one log1p pass over ``x``:
+    the sums of log1p((x/w)^2), r = x^2/(w^2+x^2) and r(3-2r)."""
+    norm = _qgaussian_log_norm(t, w)  # a width run to 0 raises here, before x / w
+    n = x.size
     u, z2, overflowed = _log1p_z2(x, w)
     su = float(u.sum())
     with np.errstate(invalid="ignore"):  # inf / inf where z2 overflowed
@@ -485,17 +488,10 @@ def _qgaussian_sums(x: np.ndarray, w: float) -> tuple[float, float, float]:
         r[~np.isfinite(z2)] = 1.0
     rr = np.multiply(2.0, r, out=z2)
     np.multiply(r, np.subtract(3.0, rr, out=rr), out=rr)
-    return su, float(r.sum()), float(rr.sum())
-
-
-def _qgaussian_score_hessian(
-    x: np.ndarray, t: float, w: float
-) -> tuple[np.ndarray, np.ndarray]:
+    sr, sr3 = float(r.sum()), float(rr.sum())
     # scipy's gamma functions, not the scalar ones above: the fit's likelihood
     # is flat in the tail, so any change to this arithmetic moves its result past
     # 1e-12.  They switch to _digamma and _trigamma with a Newton-only fitter.
-    n = x.size
-    su, sr, sr3 = _qgaussian_sums(x, w)
     special = _special()
     psi_gap = float(special.digamma(0.5 * t) - special.digamma(0.5 * (t - 1.0)))
     tri_gap = float(special.polygamma(1, 0.5 * t) - special.polygamma(1, 0.5 * (t - 1.0)))
@@ -506,7 +502,7 @@ def _qgaussian_score_hessian(
             [sr / w, (n - t * sr3) / (w * w)],
         ]
     )
-    return g, h
+    return float(n * norm - 0.5 * t * su), g, h
 
 
 def _qgaussian_log_norm(t: float, w: float) -> float:
@@ -561,31 +557,28 @@ def _fit_qgaussian(x: np.ndarray) -> tuple[float, float]:
 
     def quasi_newton(t0: float, w0: float) -> tuple[float, float]:
         # log parameters keep positivity without bounds or overflow
-        def neg_ll(p):
-            return -_qgaussian_loglik(x, 1.0 + math.exp(p[0]), math.exp(p[1]))
-
-        def neg_grad(p):
+        def neg_ll_and_grad(p):
             t_cur, w_cur = 1.0 + math.exp(p[0]), math.exp(p[1])
-            g, _ = _qgaussian_score_hessian(x, t_cur, w_cur)
+            ll, g, _ = _qgaussian_terms(x, t_cur, w_cur)
             # where the search diverges a component is inf * 0, and the nan
             # ends it (the caller raises ConvergenceError)
             with np.errstate(invalid="ignore"):
-                return np.array([-g[0] * (t_cur - 1.0), -g[1] * w_cur])
+                return -ll, np.array([-g[0] * (t_cur - 1.0), -g[1] * w_cur])
 
         res = optimize.minimize(
-            neg_ll,
+            neg_ll_and_grad,
             x0=np.array([math.log(t0 - 1.0), math.log(w0)]),
-            jac=neg_grad,
+            jac=True,
             method="L-BFGS-B",
             options={"maxiter": 300, "ftol": 1e-16, "gtol": 1e-12},
         )
         return 1.0 + math.exp(float(res.x[0])), math.exp(float(res.x[1]))
 
     def polish(t0: float, w0: float) -> tuple[float, float, float, float]:
+        # an accepted trial's terms are the next step's: one evaluation a point
         t_cur, w_cur = t0, w0
-        ll = _qgaussian_loglik(x, t_cur, w_cur)
+        ll, g, h = _qgaussian_terms(x, t_cur, w_cur)
         for _ in range(60):
-            g, h = _qgaussian_score_hessian(x, t_cur, w_cur)
             if float(np.max(np.abs(g))) <= 1e-9:
                 break
             with np.errstate(over="ignore", invalid="ignore"):
@@ -599,16 +592,15 @@ def _fit_qgaussian(x: np.ndarray) -> tuple[float, float]:
             for _ in range(30):
                 t_new, w_new = t_cur + dt, w_cur + dw
                 if t_new > 1.0 + 1e-9 and w_new > 0:
-                    ll_new = _qgaussian_loglik(x, t_new, w_new)
-                    if ll_new >= ll - 1e-12 * max(1.0, abs(ll)):
-                        t_cur, w_cur, ll = t_new, w_new, ll_new
+                    trial = _qgaussian_terms(x, t_new, w_new)
+                    if trial[0] >= ll - 1e-12 * max(1.0, abs(ll)):
+                        t_cur, w_cur, (ll, g, h) = t_new, w_new, trial
                         improved = True
                         break
                 dt *= 0.5
                 dw *= 0.5
             if not improved:
                 break
-        g, _ = _qgaussian_score_hessian(x, t_cur, w_cur)
         return t_cur, w_cur, ll, float(np.linalg.norm(g))
 
     starts = sorted(
@@ -715,7 +707,7 @@ _FAMILIES = {
         log_density=lambda x, t, w: _qgaussian_log_norm(t, w) - 0.5 * t * _log1p_z2(x, w)[0],
         survival=lambda x, t, w: _special().stdtr(t - 1.0, -x * math.sqrt(t - 1.0) / w),
         draw=lambda rng, n, t, w: rng.standard_t(t - 1.0, n) * (w / math.sqrt(t - 1.0)),
-        score=lambda x, t, w: _qgaussian_score_hessian(x, t, w)[0],
+        score=lambda x, t, w: _qgaussian_terms(x, t, w)[1],
         fit=_fit_qgaussian,
         iterative=True,
         units=(1,),

@@ -201,11 +201,13 @@ def compare_families(
     failed, the first ``ConvergenceError`` is raised.  The factor compares the
     designated challenger (by default the second best, optionally restricted
     by ``exclude_from_factor``) to the best; when the best scores 0 there is
-    no challenger and the factor is 1.
+    no challenger and the factor is 1.  A family given twice raises ``ValueError``.
     """
     families = list(families)
     if not families:
         raise ValueError("no hypothesis families given")
+    if twice := [f.value for i, f in enumerate(families) if f in families[:i]]:
+        raise ValueError(f"family {twice[0]} is given twice")
     excluded = set(exclude_from_factor)
     rows: list[FitReport] = []
     skipped: list[tuple[Family, str]] = []

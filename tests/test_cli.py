@@ -306,6 +306,22 @@ class TestRunSimulate:
                 run(_simulate_argv(extra))
             assert exc.value.code == 1
 
+    def test_a_family_named_twice_is_a_usage_error(self, capsys):
+        # compared after alias parsing, in every flag that takes families
+        cases = [
+            (["simulate", "--given", "gamma:2,2", "--hypotheses", "gamma,weibull,gamma",
+              "--n", "500", "--bootstrap", "3", "--seed", "1"], "gamma"),
+            (["compare", "--input", "unread.csv", "--families", "gamma,Gamma",
+              "--seed", "1"], "gamma"),
+            (_simulate_argv(("--hypotheses", "lognormal,normal,log-normal")), "lognormal"),
+            (_simulate_argv(("--exclude-from-factor", "uniform,uniform")), "uniform"),
+        ]
+        for argv, family in cases:
+            with pytest.raises(SystemExit) as exc:
+                run(argv)
+            assert exc.value.code == 1
+            assert f"family {family} is named twice" in capsys.readouterr().err
+
     def test_table_format_agrees_with_json(self, capsys):
         run(_simulate_argv())
         report = json.loads(capsys.readouterr().out)
@@ -622,7 +638,7 @@ def invocations(draw):
         if subcommand == "fit":
             argv += ["--family", draw(st.sampled_from(Family)).value]
         else:
-            families = draw(st.lists(st.sampled_from(Family), min_size=1, max_size=9))
+            families = draw(st.lists(st.sampled_from(Family), min_size=1, max_size=9, unique=True))
             argv += ["--families", ",".join(f.value for f in families)]
         argv += ["--bootstrap", str(draw(st.integers(1, 5)))]
         block_length = draw(st.none() | st.integers(1, 10))

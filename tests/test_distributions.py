@@ -335,9 +335,10 @@ class TestFitIterative:
         st.sampled_from([1e-300, 1e-160, 1e-3, 1.0]) | st.floats(1e-300, 1e300),
     )
     @example([1e200, -3.0, 0.0], 1e-200)  # z2 overflows for one value
-    def test_qgaussian_sums_equal_the_three_sum_formula(self, xs, w):
+    @example([1e300, -3.0, 0.0], 1e-100)  # ... and w * w does not underflow
+    def test_qgaussian_terms_equal_the_three_sum_formula(self, xs, w):
         from esjs.distributions import (
-            _log1p_z2, _qgaussian_log_norm, _qgaussian_loglik, _qgaussian_sums,
+            _log1p_z2, _qgaussian_log_norm, _qgaussian_loglik, _qgaussian_terms,
         )
 
         x = np.array(xs)
@@ -347,12 +348,56 @@ class TestFitIterative:
             big = ~np.isfinite(u)
             u = np.where(big, 2.0 * (np.log(np.where(big, np.abs(x), 1.0)) - math.log(w)), u)
             r = np.where(np.isfinite(z2), z2 / (1.0 + z2), 1.0)
-        sums = (float(u.sum()), float(r.sum()), float((r * (3.0 - 2.0 * r)).sum()))
+        su, sr, sr3 = float(u.sum()), float(r.sum()), float((r * (3.0 - 2.0 * r)).sum())
         # the sums skip the isfinite pass only where no z2 overflowed
         assert _log1p_z2(x, w)[2] == (not np.all(np.isfinite(z2)))
-        assert _qgaussian_sums(x, w) == sums
-        norm = _qgaussian_log_norm(3.0, w)
-        assert _qgaussian_loglik(x, 3.0, w) == float(x.size * norm - 0.5 * 3.0 * sums[0])
+        n, t = x.size, 3.0
+        if w * w == 0.0:
+            # the Hessian divides by w * w: the fitter reads this as a width run to 0
+            with pytest.raises(ZeroDivisionError):
+                _qgaussian_terms(x, t, w)
+            return
+        ll, g, h = _qgaussian_terms(x, t, w)
+        assert ll == float(n * _qgaussian_log_norm(t, w) - 0.5 * t * su)
+        assert ll == _qgaussian_loglik(x, t, w)
+        psi_gap = float(special.digamma(0.5 * t) - special.digamma(0.5 * (t - 1.0)))
+        tri_gap = float(special.polygamma(1, 0.5 * t) - special.polygamma(1, 0.5 * (t - 1.0)))
+        assert g[0] == 0.5 * n * psi_gap - 0.5 * su
+        assert g[1] == (t * sr - n) / w
+        assert h[0, 0] == 0.25 * n * tri_gap
+        assert h[0, 1] == h[1, 0] == sr / w
+        assert h[1, 1] == (n - t * sr3) / (w * w)
+
+    def test_qgaussian_hessian_matches_finite_differences_of_the_score(self):
+        from esjs.distributions import _qgaussian_terms
+
+        x = sample_from(ParametricModel(Family.Q_GAUSSIAN, (4.0, 1.0)), 2000, 271).values
+        probe = (4.3, 1.1)
+        _, _, hessian = _qgaussian_terms(x, *probe)
+        for j in range(2):
+            step = 1e-5 * probe[j]
+            up, dn = list(probe), list(probe)
+            up[j] += step
+            dn[j] -= step
+            column = (_qgaussian_terms(x, *up)[1] - _qgaussian_terms(x, *dn)[1]) / (2 * step)
+            assert hessian[:, j] == pytest.approx(column, rel=1e-5)
+
+    def test_qgaussian_fit_reads_the_data_once_a_point(self, monkeypatch):
+        # one log1p pass for each point the fit visits gives the likelihood,
+        # score and Hessian there; reading each point twice took 37-49 passes
+        passes = []
+        log1p_z2 = distributions._log1p_z2
+
+        def counted(x, w):
+            passes[-1] += 1
+            return log1p_z2(x, w)
+
+        monkeypatch.setattr(distributions, "_log1p_z2", counted)
+        for k in range(1, 5):
+            passes.append(0)
+            values = np.random.default_rng(k).standard_t(3.0, 10**5)
+            fit_mle(Family.Q_GAUSSIAN, SortedSample.from_data(values))
+        assert max(passes) <= 30, passes
 
     def test_qgaussian_where_the_moments_underflow(self):
         with warnings.catch_warnings(record=True) as caught:

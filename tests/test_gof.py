@@ -300,6 +300,13 @@ class TestCompareFamilies:
         assert report.given is None
         assert len(report.rows) == 3
 
+    def test_a_family_given_twice_is_rejected(self):
+        # scored twice, the family would be its own challenger, with factor 1
+        data = sample_from(ParametricModel(Family.GAMMA, (2.0, 2.0)), 500, 45)
+        config = BootstrapConfig(resamples=3, seed=45)
+        with pytest.raises(ValueError, match="family gamma is given twice"):
+            compare_families(data, [Family.GAMMA, Family.WEIBULL, Family.GAMMA], config)
+
     def test_binned_scoring_close_to_exact(self):
         data = sample_from(NORMAL01, 5_000, 3)
         config = BootstrapConfig(resamples=5, seed=3)
