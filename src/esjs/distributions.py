@@ -589,14 +589,17 @@ def _fit_qgaussian(x: np.ndarray) -> tuple[float, float]:
             dt = -(h[1, 1] * g[0] - h[0, 1] * g[1]) / det
             dw = -(h[0, 0] * g[1] - h[1, 0] * g[0]) / det
             improved = False
+            floor = ll - 1e-12 * max(1.0, abs(ll))
             for _ in range(30):
                 t_new, w_new = t_cur + dt, w_cur + dw
                 if t_new > 1.0 + 1e-9 and w_new > 0:
-                    trial = _qgaussian_terms(x, t_new, w_new)
-                    if trial[0] >= ll - 1e-12 * max(1.0, abs(ll)):
-                        t_cur, w_cur, (ll, g, h) = t_new, w_new, trial
-                        improved = True
-                        break
+                    # the Hessian raises where w_new * w_new underflows: the likelihood rejects first
+                    if w_new * w_new > 0.0 or _qgaussian_loglik(x, t_new, w_new) >= floor:
+                        trial = _qgaussian_terms(x, t_new, w_new)
+                        if trial[0] >= floor:
+                            t_cur, w_cur, (ll, g, h) = t_new, w_new, trial
+                            improved = True
+                            break
                 dt *= 0.5
                 dw *= 0.5
             if not improved:

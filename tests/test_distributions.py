@@ -352,13 +352,13 @@ class TestFitIterative:
         # the sums skip the isfinite pass only where no z2 overflowed
         assert _log1p_z2(x, w)[2] == (not np.all(np.isfinite(z2)))
         n, t = x.size, 3.0
+        assert _qgaussian_loglik(x, t, w) == float(n * _qgaussian_log_norm(t, w) - 0.5 * t * su)
         if w * w == 0.0:
             # the Hessian divides by w * w: the fitter reads this as a width run to 0
             with pytest.raises(ZeroDivisionError):
                 _qgaussian_terms(x, t, w)
             return
         ll, g, h = _qgaussian_terms(x, t, w)
-        assert ll == float(n * _qgaussian_log_norm(t, w) - 0.5 * t * su)
         assert ll == _qgaussian_loglik(x, t, w)
         psi_gap = float(special.digamma(0.5 * t) - special.digamma(0.5 * (t - 1.0)))
         tri_gap = float(special.polygamma(1, 0.5 * t) - special.polygamma(1, 0.5 * (t - 1.0)))
