@@ -14,10 +14,10 @@ Families and their parameter order (matching the reporting convention):
 
 The table ``_FAMILIES`` at the end of this module holds one record per
 family: its parameter names and checks, its support, log-density, survival,
-sampler, score and fitter.  Every public function looks the family up there,
-and the support is declared once: ``support_problem`` and ``fit_mle`` read it
-for the data, ``density`` is 0 outside it, and ``survival_of`` is 1 below it
-and 0 above it.
+sampler and fitter, and for an iterative fit the score that checks it.  Every
+public function looks the family up there, and the support is declared once:
+``support_problem`` and ``fit_mle`` read it for the data, ``density`` is 0
+outside it, and ``survival_of`` is 1 below it and 0 above it.
 
 The qgaussian density is
 
@@ -149,8 +149,9 @@ class _Spec:
     The formulas take the parameters unpacked after their first arguments:
     ``log_density(x, *params)`` and ``survival(x, *params)`` see only points
     inside the support, ``draw(rng, n, *params)`` returns ``n`` unsorted
-    draws, ``score(x, *params)`` is the gradient of the log-likelihood of the
-    sorted sample ``x`` and ``fit(x)`` its maximum-likelihood parameters.
+    draws, ``fit(x)`` returns the maximum-likelihood parameters of the sorted
+    sample ``x`` and ``score(x, *params)``, set for the iterative fits only,
+    the gradient of its log-likelihood (None: a closed-form fit, with no verdict).
     """
 
     names: tuple[str, ...]
@@ -159,7 +160,6 @@ class _Spec:
     log_density: Callable[..., np.ndarray]
     survival: Callable[..., np.ndarray]
     draw: Callable[..., np.ndarray]
-    score: Callable[..., np.ndarray] | None  # None: the maximum is on a boundary
     fit: Callable[[np.ndarray], tuple[float, ...]]
     #: support bounds; the upper one is always open
     support: tuple[float, float] = (-math.inf, math.inf)
@@ -167,7 +167,7 @@ class _Spec:
     #: what the skip reason says when data leave the support
     support_reason: str | None = None
     #: the fit must end with score norm <= _SCORE_TOL (scaled as below)
-    iterative: bool = False
+    score: Callable[..., np.ndarray] | None = None
     #: parameters in the data's units: fitted in units of 2^e, score scaled by them
     units: tuple[int, ...] = ()
 
@@ -287,7 +287,7 @@ def fit_mle(family: Family, sample: SortedSample) -> ParametricModel:
     shift = [e if i in spec.units else 0 for i in range(len(params))]
     with np.errstate(over="ignore"):  # ParametricModel rejects a parameter past float64
         model = ParametricModel(family, np.ldexp(params, shift))
-    if spec.iterative:
+    if spec.score is not None:
         score = spec.score(x, *params)
         for i in spec.units:
             score[i] *= params[i]
@@ -310,11 +310,6 @@ def _lognormal_log_density(x: np.ndarray, mu: float, sd: float) -> np.ndarray:
     lx = np.log(x)
     z = (lx - mu) / sd
     return -lx - math.log(sd) - _HALF_LOG_2PI - 0.5 * z * z
-
-
-def _normal_score(d: np.ndarray, sd: float) -> np.ndarray:
-    # score in (mean, sd) given the deviations d from the mean
-    return np.array([float(d.sum()) / sd**2, -d.size / sd + float((d * d).sum()) / sd**3])
 
 
 def _gamma_score(x: np.ndarray, k: float, tau: float) -> np.ndarray:
@@ -634,7 +629,6 @@ _FAMILIES = {
         log_density=_normal_log_density,
         survival=lambda x, mu, sd: _special().ndtr((mu - x) / sd),
         draw=lambda rng, n, mu, sd: rng.normal(mu, sd, n),
-        score=lambda x, mu, sd: _normal_score(x - mu, sd),
         fit=_fit_normal,
         units=(0, 1),
     ),
@@ -644,7 +638,6 @@ _FAMILIES = {
         log_density=lambda x, lo, hi: np.where((x >= lo) & (x <= hi), -math.log(hi - lo), -np.inf),
         survival=lambda x, lo, hi: np.clip((hi - x) / (hi - lo), 0.0, 1.0),
         draw=lambda rng, n, lo, hi: rng.uniform(lo, hi, n),
-        score=None,
         fit=_fit_uniform,
     ),
     Family.LOG_NORMAL: _Spec(
@@ -653,7 +646,6 @@ _FAMILIES = {
         log_density=_lognormal_log_density,
         survival=lambda x, mu, sd: _special().ndtr((mu - np.log(x)) / sd),
         draw=lambda rng, n, mu, sd: rng.lognormal(mu, sd, n),
-        score=lambda x, mu, sd: _normal_score(np.log(x) - mu, sd),
         fit=lambda x: _fit_normal(np.log(x), "lognormal"),
         support=(0.0, math.inf),
         support_reason=_POSITIVE,
@@ -670,7 +662,6 @@ _FAMILIES = {
         fit=_fit_gamma,
         support=(0.0, math.inf),
         support_reason=_POSITIVE,
-        iterative=True,
         units=(1,),
     ),
     Family.WEIBULL: _Spec(
@@ -685,7 +676,6 @@ _FAMILIES = {
         fit=_fit_weibull,
         support=(0.0, math.inf),
         support_reason=_POSITIVE,
-        iterative=True,
         units=(1,),
     ),
     Family.BETA: _Spec(
@@ -702,7 +692,6 @@ _FAMILIES = {
         fit=_fit_beta,
         support=(0.0, 1.0),
         support_reason="requires data strictly inside (0, 1)",
-        iterative=True,
     ),
     Family.Q_GAUSSIAN: _Spec(
         names=("tail", "width"),
@@ -712,7 +701,6 @@ _FAMILIES = {
         draw=lambda rng, n, t, w: rng.standard_t(t - 1.0, n) * (w / math.sqrt(t - 1.0)),
         score=lambda x, t, w: _qgaussian_terms(x, t, w)[1],
         fit=_fit_qgaussian,
-        iterative=True,
         units=(1,),
     ),
     Family.EXPONENTIAL: _Spec(
@@ -721,7 +709,6 @@ _FAMILIES = {
         log_density=lambda x, tau: -math.log(tau) - x / tau,
         survival=lambda x, tau: np.exp(-x / tau),
         draw=lambda rng, n, tau: rng.exponential(tau, n),
-        score=lambda x, tau: np.array([-x.size / tau + float(x.sum()) / tau**2]),
         fit=_fit_exponential,
         units=(0,),
         support=(0.0, math.inf),
@@ -734,7 +721,6 @@ _FAMILIES = {
         log_density=lambda x, alpha: math.log(alpha) - (alpha + 1.0) * np.log(x),
         survival=lambda x, alpha: x ** (-alpha),
         draw=lambda rng, n, alpha: rng.pareto(alpha, n) + 1.0,
-        score=lambda x, alpha: np.array([x.size / alpha - float(np.log(x).sum())]),
         fit=_fit_pareto,
         support=(1.0, math.inf),
         closed_below=True,

@@ -1,10 +1,12 @@
 import contextlib
+import csv
 import io
 import json
 import os
 import subprocess
 import sys
 import tempfile
+import types
 from unittest import mock
 
 import numpy as np
@@ -402,6 +404,17 @@ class TestRunDivergence:
         assert report["esjs"] == want
         assert report["distance"] == np.sqrt(want)
 
+    def test_csv_format_agrees_with_json(self, tmp_path, capsys):
+        p = write(tmp_path, "p.csv", "1\n2\n3\n")
+        q = write(tmp_path, "q.csv", "1.5\n2\n4\n")
+        argv = ["divergence", "--input-p", p, "--input-q", q, "--bins", "500"]
+        run(argv)
+        report = json.loads(capsys.readouterr().out)
+        assert report["esjs"] > 0.0
+        run([*argv, "--format", "csv"])
+        lines = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        assert lines == [["esjs", "distance"], [repr(report["esjs"]), repr(report["distance"])]]
+
 
 class TestRunFitAndCompare:
     def test_fit_row(self, tmp_path, capsys):
@@ -463,6 +476,31 @@ class TestRunFitAndCompare:
                 "ratio": 1.0, "numerator_esjs": 0.0, "denominator_esjs": 0.0,
                 "challenger": None, "champion": report["best"], "note": "champion score is 0",
             }
+
+    def test_table_skipped_and_timing_lines_agree_with_json(self, tmp_path, capsys, monkeypatch):
+        # beta is skipped on data outside (0, 1); a fixed clock times both runs alike
+        path = write(tmp_path, "x.csv", "1.5\n-0.2\n2.5\n0.7\n3.1\n-1.4\n")
+        argv = ["compare", "--input", path, "--families", "normal,beta",
+                "--bootstrap", "5", "--seed", "1", "--timing"]
+        outs = {}
+        for fmt in ("json", "table"):
+            clock = types.SimpleNamespace(perf_counter=iter([10.0, 12.5]).__next__)
+            monkeypatch.setattr(esjs.cli, "time", clock)
+            assert run([*argv, "--format", fmt]) == 0
+            outs[fmt] = capsys.readouterr().out
+        report = json.loads(outs["json"])
+        lines = outs["table"].splitlines()
+        (row,) = report["rows"]
+        assert lines[1].split() == [
+            row["family"], *map(repr, row["params"]), repr(row["esjs"]), repr(row["distance"]),
+            *(repr(row["ci"][key]) for key in ("lb", "ub", "level")),
+        ]
+        (item,) = report["skipped"]
+        assert item["family"] == "beta"
+        assert report["timing"] == 2.5
+        assert lines[-2:] == [
+            f"skipped: {item['family']} ({item['reason']})", f"timing: {report['timing']!r} s"
+        ]
 
     def test_numerical_failure_exit_3(self, tmp_path, capsys, monkeypatch):
         path = write(tmp_path, "n.csv", "1\n2\n3\n4\n")
@@ -599,6 +637,21 @@ class TestRunScaling:
         report = json.loads(capsys.readouterr().out)
         assert [row["size"] for row in report["rows"]] == [64, 256, 1024]
         assert report["powerlaw"]["exponent"] < 0
+
+    def test_csv_format_agrees_with_json(self, capsys):
+        argv = ["scaling", "--given", "exponential:1.5", "--sizes", "16,64,256", "--seed", "3"]
+        run(argv)
+        report = json.loads(capsys.readouterr().out)
+        run([*argv, "--format", "csv"])
+        lines = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        # a one-parameter family leaves param2 empty
+        want = [["size", "param1", "param2", "esjs"]]
+        want += [[repr(row["size"]), repr(row["params"][0]), "", repr(row["esjs"])]
+                 for row in report["rows"]]
+        fit = report["powerlaw"]
+        want.append(["powerlaw_amplitude", repr(fit["amplitude"]),
+                     "powerlaw_exponent", repr(fit["exponent"])])
+        assert lines == want
 
     def test_bad_sizes_usage_error(self):
         with pytest.raises(SystemExit) as exc:

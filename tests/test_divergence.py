@@ -66,6 +66,19 @@ class TestEsjs:
         q = empirical_survival(SortedSample.from_data([0.5, 1.5]))
         assert esjs(p, q) > 0.0
 
+    def test_binned_bounds_that_cut_a_sample_give_inf(self):
+        # bounds below p's 5 leave p's survival at 1/3 past the grid while
+        # q's is 0 there: the integrand is nonzero on the unbounded tail
+        p = SortedSample.from_data([0.0, 1.0, 5.0])
+        q = SortedSample.from_data([0.0, 2.0, 3.0])
+        cut = km_binned_survival(p, 10, (0.0, 3.0)), km_binned_survival(q, 10, (0.0, 3.0))
+        assert esjs(*cut) == math.inf
+        assert esjs(*reversed(cut)) == math.inf
+        # bounds that hold both samples end both survivals at 0
+        whole = km_binned_survival(p, 10, (0.0, 5.0)), km_binned_survival(q, 10, (0.0, 5.0))
+        assert esjs(*whole) == 0.25936556631921465
+        assert esjs(*whole) == pytest.approx(segment_esjs_oracle(*whole), rel=1e-15)
+
 
 class TestStepSum:
     def test_reads_grid_and_qv_only(self):
