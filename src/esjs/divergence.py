@@ -28,23 +28,27 @@ __all__ = [
 ]
 
 
-def _integrand(pv: np.ndarray, qv: np.ndarray,
-               out: np.ndarray, t: np.ndarray, pos: np.ndarray) -> np.ndarray:
+#: Cells the kernel evaluates at a time, so that its float buffers stay in cache.
+_CHUNK = 1 << 14
+
+
+def _integrand(pv: np.ndarray, qv: np.ndarray, out: np.ndarray, t: np.ndarray) -> np.ndarray:
     """1/2 (P log(P/M) + Q log(Q/M)) with M = (P+Q)/2 and 0 log 0 := 0, into ``out``.
 
-    Every pass writes into the arguments, so a caller that reuses its buffers
-    allocates nothing.  Buffers: ``pv`` is overwritten; ``t`` (float64) and
-    ``pos`` (bool) are scratch; all five are as long as ``pv`` and distinct.
+    ``pv`` and ``qv`` are survival levels, so neither increases and the slots
+    where one is 0 form a suffix, found by one search.  Buffers: ``pv`` is
+    overwritten, ``qv`` is read only, ``t`` is scratch and ``out`` holds the
+    result; all four are float64, equally long and distinct.
     """
     m = np.add(pv, qv, out=out)
     m *= 0.5
     with np.errstate(divide="ignore", invalid="ignore"):
         # pv is spent once its term is in t, so q's term goes where pv was
         for v, term in ((pv, t), (qv, pv)):
+            zero = np.searchsorted(-v, 0.0)  # v is searched before term overwrites it
             np.log(np.divide(v, m, out=term), out=term)
             np.multiply(v, term, out=term)
-            np.logical_not(np.greater(v, 0.0, out=pos), out=pos)
-            np.copyto(term, 0.0, where=pos)
+            term[zero:] = 0.0
     np.add(t, pv, out=out)
     out *= 0.5
     return out
@@ -60,28 +64,34 @@ def esjs(p: StepSurvival, q: StepSurvival) -> float:
     """
     grid = np.union1d(p.breakpoints, q.breakpoints)
     pv, qv = p(grid), q(grid)
-    out, t, pos = np.empty(grid.size), np.empty(grid.size), np.empty(grid.size, dtype=bool)
+    out, t = np.empty(min(grid.size, _CHUNK)), np.empty(min(grid.size, _CHUNK))
     # the tail check writes pv[-1], which the sum over the grid's cells never reads
-    if float(_integrand(pv[-1:], qv[-1:], out[-1:], t[-1:], pos[-1:])[0]) != 0.0:
+    if float(_integrand(pv[-1:], qv[-1:], out[:1], t[:1])[0]) != 0.0:
         return math.inf
-    return _step_sum(grid, pv, qv, out, t, pos)
+    return _step_sum(grid, lambda lo, hi: (pv[lo:hi], qv[lo:hi]), out, t)
 
 
-def _step_sum(grid: np.ndarray, pv: np.ndarray, qv: np.ndarray,
-              out: np.ndarray, t: np.ndarray, pos: np.ndarray) -> float:
+def _step_sum(grid: np.ndarray, fill, out: np.ndarray, t: np.ndarray) -> float:
     """Exact integral of the integrand of two step functions over ``grid``.
 
-    The functions take ``pv[k]`` and ``qv[k]`` on ``[grid[k], grid[k+1])``;
-    the caller has checked that the integrand is 0 outside the grid.
-    Buffers: ``grid`` and ``qv`` are read only; ``pv``, ``out``, ``t`` and
-    ``pos`` are :func:`_integrand`'s, and no two of the six may overlap.
+    The functions take P and Q on ``[grid[k], grid[k+1])``, non-increasing
+    in ``k``; the caller has checked that the integrand is 0 outside the
+    grid.  The cells go in chunks of at most ``_CHUNK``: ``fill(lo, hi)``
+    returns P and Q on cells ``lo`` to ``hi - 1`` as two float64 arrays that
+    :func:`_integrand` may overwrite (``pv`` is, ``qv`` is not), and ``out``
+    and ``t`` are its scratch, at least as long as a chunk.  Each cell's
+    width times its integrand is written over ``grid[k]`` once the chunk's
+    widths have read ``grid[k + 1]``, and one sum over those products gives
+    the result, so ``grid`` is spent; it may not overlap any other buffer.
     """
     n = grid.size - 1
-    if n == 0:
-        return 0.0
-    integrand = _integrand(pv[:n], qv[:n], out[:n], t[:n], pos[:n])
-    widths = np.subtract(grid[1:], grid[:-1], out=t[:n])  # t is free again
-    return float(np.sum(np.multiply(widths, integrand, out=widths))) + 0.0
+    for lo in range(0, n, _CHUNK):
+        hi = min(lo + _CHUNK, n)
+        integrand = _integrand(*fill(lo, hi), out[: hi - lo], t[: hi - lo])
+        # t is free again; grid[hi] is read here, before the next chunk writes it
+        widths = np.subtract(grid[lo + 1 : hi + 1], grid[lo:hi], out=t[: hi - lo])
+        np.multiply(widths, integrand, out=grid[lo:hi])
+    return float(np.sum(grid[:n])) + 0.0
 
 
 def esjs_spacings(p_sample: SortedSample, q_sample: SortedSample) -> float:

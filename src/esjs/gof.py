@@ -17,7 +17,7 @@ import numpy as np
 from .bootstrap import BootstrapConfig, ConfidenceInterval, bootstrap_ci
 from .distributions import ConvergenceError, Family, ParametricModel, fit_mle, sample_from
 from .distributions import support_problem
-from .divergence import EsjsFactor, _step_sum, esjs, esjs_factor
+from .divergence import _CHUNK, EsjsFactor, _step_sum, esjs, esjs_factor
 from .seeds import derive_seed
 from .survival import SortedSample, _snap_up, empirical_survival, km_binned_survival
 
@@ -113,13 +113,14 @@ def _esjs_of_positions(
     the samples: the occupied values are the kernel's grid (or, binned, they
     snap to it), and one running count gives both survivals on it.  No sort
     and no survival is built, which is what makes a bootstrap replicate cheap.
-    Each array as long as ``x`` or the grid is one of ``ws``'s.
+    Each array as long as ``x`` or the grid is one of ``ws``'s, and so is each
+    float buffer of the kernel, which is no longer than ``_CHUNK``.
     """
     # One packed count per pooled value: p's draws in the low 32 bits, q's in
     # the high 32 bits (sizes stay below 2^31).  Memory is what limits a
     # replicate, so spent arrays take later stages: the counts' memory holds
-    # the grid (binned: the levels; _snap_up's grid is new), the levels' memory
-    # the integrand, and the mask's the integrand's sign mask.
+    # the grid (binned: the levels; _snap_up's grid is new), and the kernel
+    # unpacks the levels a chunk at a time into chunk-long buffers.
     counts = ws.array("counts", x.size, np.int64)
     counts.fill(0)
     np.add.at(counts, p_pos, 1)
@@ -135,13 +136,20 @@ def _esjs_of_positions(
         # the replicate's own range, as _esjs_between takes it
         grid, ends = _snap_up(grid, grid[0], grid[-1], bins)
         levels = np.take(levels, ends, out=counts[: ends.size], mode="clip")
-    n_p, n_q, size = p_pos.size, q_pos.size, grid.size
-    pv, qv, t = ws.array("pv", size), ws.array("qv", size), ws.array("t", size)
-    low = np.bitwise_and(levels, 0xFFFFFFFF, out=qv.view(np.int64))
-    np.divide(np.subtract(n_p, low, out=low), n_p, out=pv)
-    levels >>= 32
-    np.divide(np.subtract(n_q, levels, out=levels), n_q, out=qv)
-    return _step_sum(grid, pv, qv, levels.view(np.float64), t, ws.array("mask", size, bool))
+    n_p, n_q, size = p_pos.size, q_pos.size, min(grid.size, _CHUNK)
+    pv, qv = ws.array("pv", size), ws.array("qv", size)
+
+    def fill(lo, hi):
+        # p's counts are the low halves of the levels, q's the high ones; a
+        # chunk of levels is spent once both are read
+        chunk = levels[lo:hi]
+        low = np.bitwise_and(chunk, 0xFFFFFFFF, out=qv[: hi - lo].view(np.int64))
+        np.divide(np.subtract(n_p, low, out=low), n_p, out=pv[: hi - lo])
+        chunk >>= 32
+        np.divide(np.subtract(n_q, chunk, out=chunk), n_q, out=qv[: hi - lo])
+        return pv[: hi - lo], qv[: hi - lo]
+
+    return _step_sum(grid, fill, ws.array("out", size), ws.array("t", size))
 
 
 def fit_report(

@@ -104,13 +104,15 @@ class StepSurvival:
         if vals.size > 1 and np.any(np.diff(vals) > 0):
             raise ValueError("survival values must be non-increasing")
         object.__setattr__(self, "breakpoints", _frozen_array(bp))
-        object.__setattr__(self, "values", _frozen_array(vals))
+        # S with 1 in front, indexed by the count of breakpoints at or below x
+        levels = _frozen_array(np.concatenate(([1.0], vals)))
+        object.__setattr__(self, "_levels", levels)
+        object.__setattr__(self, "values", levels[1:])
 
     def __call__(self, x):
         """Evaluate S at scalar or array ``x``."""
         arr = np.asarray(x, dtype=np.float64)
-        idx = np.searchsorted(self.breakpoints, arr, side="right") - 1
-        out = np.where(idx < 0, 1.0, self.values[np.maximum(idx, 0)])
+        out = self._levels[np.searchsorted(self.breakpoints, arr, side="right")]
         if arr.ndim == 0:
             return float(out)
         return out

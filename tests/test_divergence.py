@@ -15,7 +15,8 @@ from esjs import (
     survival_entropy,
 )
 
-from esjs.divergence import _step_sum
+from esjs.divergence import _CHUNK, _step_sum
+from esjs.gof import _Workspace, _esjs_between, _esjs_of_positions, _pool
 
 from conftest import random_sample, segment_esjs_oracle
 
@@ -80,18 +81,99 @@ class TestEsjs:
         assert esjs(*whole) == pytest.approx(segment_esjs_oracle(*whole), rel=1e-15)
 
 
+def _cell_products(grid, pv, qv):
+    """Width times integrand of every cell of ``grid``, the kernel's formula on
+    whole arrays with masks in place of chunks and zero suffixes."""
+    n = grid.size - 1
+    pv, qv = pv[:n], qv[:n]
+    m = (pv + qv) * 0.5
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = [np.where(v > 0.0, v * np.log(v / m), 0.0) for v in (pv, qv)]
+    return (grid[1:] - grid[:-1]) * ((terms[0] + terms[1]) * 0.5)
+
+
 class TestStepSum:
-    def test_reads_grid_and_qv_only(self):
-        # the bootstrap workspace keeps the grid and q's levels in memory it
-        # reuses, so the sum may write only into pv and its own buffers
+    def test_writes_the_products_over_grid_and_reads_qv_only(self):
+        # grid[k] ends as cell k's width times its integrand; q's levels, which
+        # the caller's fill hands out, are read only
         rng = np.random.default_rng(8)
-        p, q = _pair(rng)
+        p, q = (empirical_survival(random_sample(rng, 30_000, 30_000)) for _ in range(2))
         grid = np.union1d(p.breakpoints, q.breakpoints)
+        n = grid.size - 1
+        assert n > 2 * _CHUNK
         pv, qv = p(grid), q(grid)
-        grid0, qv0 = grid.copy(), qv.copy()
-        buffers = np.empty(grid.size), np.empty(grid.size), np.empty(grid.size, dtype=bool)
-        assert _step_sum(grid, pv, qv, *buffers) == esjs(p, q)
-        assert np.array_equal(grid, grid0) and np.array_equal(qv, qv0)
+        grid0, pv0, qv0 = grid.copy(), pv.copy(), qv.copy()
+        calls = []
+
+        def fill(lo, hi):
+            calls.append((lo, hi))
+            return pv[lo:hi], qv[lo:hi]
+
+        got = _step_sum(grid, fill, np.empty(_CHUNK), np.empty(_CHUNK))
+        assert calls == [(lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK)]
+        assert got == esjs(p, q)
+        np.testing.assert_array_equal(grid[:n], _cell_products(grid0, pv0, qv0))
+        assert grid[n] == grid0[n]
+        np.testing.assert_array_equal(qv, qv0)
+
+
+def _samples_on(cells, p_end, binned, seed):
+    """Two samples whose grid has ``cells`` cells, and their bin count.
+
+    p's survival is 0 from cell ``p_end`` on, q's on no cell.  Binned, the
+    grid's points are 0.5, 1, 2, ..., ``cells`` on ``2 * cells`` bins, and
+    some values a quarter below a whole number snap to the same edge.
+    """
+    rng = np.random.default_rng(seed)
+    g = np.arange(cells + 1)
+    in_p = (rng.random(cells + 1) < 0.5) & (g < p_end)
+    in_p[p_end] = True
+    in_q = ~in_p | (rng.random(cells + 1) < 0.3)
+    in_q[cells] = True
+    x = g.astype(float) if binned else np.cumsum(rng.uniform(0.5, 2.0, cells + 1))
+
+    def draw(mask):
+        values = np.repeat(x[mask], rng.integers(1, 4, int(mask.sum())))  # ties
+        if binned:
+            nudge = (values >= 1) & (values < cells) & (rng.random(values.size) < 0.2)
+            values = np.where(nudge, values - 0.25, values)
+        return SortedSample.from_data(values)
+
+    return draw(in_p), draw(in_q), 2 * cells if binned else None
+
+
+class TestChunkEdges:
+    @pytest.mark.parametrize("binned", [False, True])
+    @pytest.mark.parametrize(
+        "cells, p_end",
+        [
+            (_CHUNK - 1, _CHUNK // 2),  # one partial chunk, p's zeros start inside it
+            (_CHUNK, _CHUNK - 1),  # one full chunk, p is 0 on its last cell only
+            (_CHUNK + 1, _CHUNK),  # p's zeros start on the second chunk's edge
+            (3 * _CHUNK + 5, 2 * _CHUNK),  # ... on the third chunk's edge
+            (3 * _CHUNK + 5, 2 * _CHUNK + 3),  # ... inside the third chunk
+            (3 * _CHUNK + 5, 3 * _CHUNK + 5),  # p and q end together: no zeros
+        ],
+    )
+    def test_chunked_kernel_is_the_whole_array_formula(self, cells, p_end, binned):
+        p, q, bins = _samples_on(cells, p_end, binned, seed=cells + p_end)
+        if binned:
+            p_surv, q_surv = (km_binned_survival(s, bins, (0.0, cells)) for s in (p, q))
+        else:
+            p_surv, q_surv = empirical_survival(p), empirical_survival(q)
+        grid = np.union1d(p_surv.breakpoints, q_surv.breakpoints)
+        pv, qv = p_surv(grid), q_surv(grid)
+        assert grid.size == cells + 1
+        assert np.count_nonzero(pv[:cells] == 0.0) == cells - p_end
+        assert np.count_nonzero(qv[:cells] == 0.0) == 0
+        want = float(np.sum(_cell_products(grid, pv, qv))) + 0.0
+        assert esjs(p_surv, q_surv) == want
+        assert want == pytest.approx(segment_esjs_oracle(p_surv, q_surv), rel=1e-12)
+        # p first and p second: the zeros are pv's in one and qv's in the other
+        pooled, p_pos, q_pos = _pool(p, q)
+        for a, b, a_pos, b_pos in ((p, q, p_pos, q_pos), (q, p, q_pos, p_pos)):
+            assert _esjs_between(a, b, bins) == want
+            assert _esjs_of_positions(pooled, a_pos, b_pos, bins, _Workspace()) == want
 
 
 class TestEsjsSpacings:

@@ -23,6 +23,7 @@ from esjs import (
     simulate_experiment,
     support_problem,
 )
+from esjs.divergence import _CHUNK
 from esjs.gof import _Workspace, _esjs_between, _esjs_of_positions, _pool
 
 NORMAL01 = ParametricModel(Family.NORMAL, (0.0, 1.0))
@@ -153,6 +154,27 @@ class TestReplicateSweep:
                     config,
                 )
                 np.testing.assert_array_equal(reused, fresh)
+
+    @pytest.mark.parametrize("bins", [None, 10**6])
+    def test_thread_workspaces_hold_no_pooled_length_float_array(self, bins):
+        # the kernel's float buffers are a chunk long whatever the pool's size
+        rng = np.random.default_rng(4)
+        p, q = (SortedSample.from_data(rng.gamma(2.0, 2.0, 100_000)) for _ in range(2))
+        pooled, p_pos, q_pos = _pool(p, q)
+        assert pooled.size == 200_000
+        ws = _Workspace()
+        seen = []
+
+        def statistic(m, d):
+            value = _esjs_of_positions(pooled, m, d, bins, ws)
+            seen.append(dict(vars(ws)))  # this thread's arrays
+            return value
+
+        replicate_values(statistic, (p_pos, q_pos), BootstrapConfig(resamples=4, seed=1), workers=2)
+        assert len(seen) == 4
+        for arrays in seen:
+            floats = [a.size for a in arrays.values() if a.dtype == np.float64]
+            assert len(floats) == 4 and max(floats) <= _CHUNK
 
 
 @st.composite

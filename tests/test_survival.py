@@ -241,6 +241,19 @@ class TestSurvivalEntropy:
         assert survival_entropy(SortedSample(values)) == plain
 
 
+class TestStepSurvivalCall:
+    def test_levels_before_at_between_and_after_the_breakpoints(self):
+        surv = StepSurvival(np.array([-1.0, 0.5, 2.0]), np.array([0.75, 0.25, 0.0]))
+        x = np.array([-np.inf, -3.0, -1.0, 0.0, 0.5, 0.5000001, 2.0, 1e300, np.inf])
+        want = [1.0, 1.0, 0.75, 0.75, 0.25, 0.25, 0.0, 0.0, 0.0]
+        assert surv(x).tolist() == want
+        assert [surv(v) for v in x] == want
+        assert isinstance(surv(0.0), float)
+        assert surv(x.reshape(3, 3)).tolist() == np.reshape(want, (3, 3)).tolist()
+        with pytest.raises(ValueError):
+            surv.values[0] = 0.5
+
+
 class TestStepSurvivalValidation:
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError):
