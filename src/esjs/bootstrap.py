@@ -8,6 +8,7 @@ evaluation is scheduled (including thread parallelism).
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -91,8 +92,11 @@ def moving_block_resample(series, block_length: int, seed: int) -> np.ndarray:
     if not 1 <= block_length <= n:
         raise ValueError(f"block_length must lie in [1, {n}], got {block_length}")
     rng = np.random.default_rng(int(seed))
-    n_blocks = -(-n // block_length)
-    starts = rng.integers(0, n - block_length + 1, n_blocks)
+    n_blocks, high = -(-n // block_length), n - block_length + 1
+    # half the memory of int64 starts, and the same draws: a range that fits
+    # in 32 bits is drawn by the same bounded 32-bit generator for either dtype
+    dtype = np.int32 if high <= np.iinfo(np.int32).max else np.int64
+    starts = rng.integers(0, high, n_blocks, dtype=dtype)
     if block_length == 1:
         # what the window gather below returns: at n = 10^5 that gather takes
         # twice as long and raised a two-thread bootstrap's peak memory by 4%
@@ -134,6 +138,12 @@ def replicate_values(statistic, data, config: BootstrapConfig, workers: int = 1)
     component is resampled independently per replicate with seed derived
     from ``(config.seed, replicate index, component index)``.  Integer
     components keep their dtype, so a statistic can take positions.
+
+    ``workers`` threads evaluate the replicates, the calling thread among
+    them: it starts ``workers - 1`` helpers (no more than there are
+    replicates), and each thread takes the next replicate index until none
+    is left.  Once the statistic raises, no thread takes another index, and
+    the exception propagates from here.
     """
     comps = _components(data)
     block_length = config.block_length or 1
@@ -145,13 +155,36 @@ def replicate_values(statistic, data, config: BootstrapConfig, workers: int = 1)
         ]
         return float(statistic(*parts))
 
-    indices = range(config.resamples)
-    if workers and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reps = list(pool.map(one, indices))
-    else:
-        reps = [one(b) for b in indices]
-    return np.asarray(reps, dtype=np.float64)
+    reps = np.empty(config.resamples)
+    todo = iter(range(config.resamples))
+    lock = threading.Lock()
+
+    def take() -> int | None:
+        with lock:
+            return next(todo, None)
+
+    def work() -> None:
+        nonlocal todo
+        try:
+            for b in iter(take, None):
+                reps[b] = one(b)
+        except BaseException:
+            with lock:
+                todo = iter(())
+            raise
+
+    helpers = min(workers, config.resamples) - 1
+    if helpers < 1:
+        work()
+        return reps
+    # the caller's own memory, freed by what ran before, serves its replicates;
+    # a new thread would allocate a working set of its own
+    with ThreadPoolExecutor(max_workers=helpers) as pool:
+        futures = [pool.submit(work) for _ in range(helpers)]
+        work()
+    for future in futures:
+        future.result()
+    return reps
 
 
 def bootstrap_ci(

@@ -289,7 +289,8 @@ def _add_output_flags(sub, workers=True):
                      help="include wall-clock timing in the report")
     if workers:
         sub.add_argument("--workers", type=_int_at_least(1), default=1,
-                         help="bootstrap replicate threads (output is identical for any value)")
+                         help="threads that run bootstrap replicates, the main thread included "
+                         "(output is identical for any value)")
 
 
 def build_parser() -> _Parser:

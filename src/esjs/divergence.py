@@ -63,12 +63,13 @@ def esjs(p: StepSurvival, q: StepSurvival) -> float:
     survival cut a sample so that its tail stays above 0.
     """
     grid = np.union1d(p.breakpoints, q.breakpoints)
-    pv, qv = p(grid), q(grid)
     out, t = np.empty(min(grid.size, _CHUNK)), np.empty(min(grid.size, _CHUNK))
-    # the tail check writes pv[-1], which the sum over the grid's cells never reads
-    if float(_integrand(pv[-1:], qv[-1:], out[:1], t[:1])[0]) != 0.0:
+    # each evaluation is a new array, so _integrand may write over it; a chunk's
+    # cells are read before _step_sum writes their products over them, and the
+    # last grid point, the tail's, it never writes
+    if float(_integrand(p(grid[-1:]), q(grid[-1:]), out[:1], t[:1])[0]) != 0.0:
         return math.inf
-    return _step_sum(grid, lambda lo, hi: (pv[lo:hi], qv[lo:hi]), out, t)
+    return _step_sum(grid, lambda lo, hi: (p(grid[lo:hi]), q(grid[lo:hi])), out, t)
 
 
 def _step_sum(grid: np.ndarray, fill, out: np.ndarray, t: np.ndarray) -> float:
@@ -78,7 +79,8 @@ def _step_sum(grid: np.ndarray, fill, out: np.ndarray, t: np.ndarray) -> float:
     in ``k``; the caller has checked that the integrand is 0 outside the
     grid.  The cells go in chunks of at most ``_CHUNK``: ``fill(lo, hi)``
     returns P and Q on cells ``lo`` to ``hi - 1`` as two float64 arrays that
-    :func:`_integrand` may overwrite (``pv`` is, ``qv`` is not), and ``out``
+    :func:`_integrand` may overwrite (``pv`` is, ``qv`` is not), and may read
+    ``grid[lo:hi]``, which no product has overwritten yet; ``out``
     and ``t`` are its scratch, at least as long as a chunk.  Each cell's
     width times its integrand is written over ``grid[k]`` once the chunk's
     widths have read ``grid[k + 1]``, and one sum over those products gives

@@ -92,9 +92,10 @@ def _pool(p: SortedSample, q: SortedSample) -> tuple[np.ndarray, np.ndarray, np.
 
 
 class _Workspace(threading.local):
-    """Arrays that bootstrap replicates reuse, one set per thread: arrays made
-    for each replicate go back to the system when freed, and the next replicate
-    faults their pages in again.  An array grows only when it is too short."""
+    """Arrays that bootstrap replicates reuse, one set per thread that runs
+    them, the calling thread included: arrays made for each replicate go back
+    to the system when freed, and the next replicate faults their pages in
+    again.  An array grows only when it is too short."""
 
     def array(self, name: str, size: int, dtype=np.float64) -> np.ndarray:
         arrays = vars(self)  # a threading.local keeps one such dict per thread

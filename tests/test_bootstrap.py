@@ -1,3 +1,7 @@
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -10,12 +14,17 @@ from esjs import (
     percentile_of_replicates,
     replicate_values,
 )
+from esjs.seeds import derive_seed
 
 
 def concatenated_blocks(series, block_length, seed):
-    """Oracle: the drawn blocks as slices of the series, concatenated and cut to n."""
+    """Oracle: the drawn blocks as slices of the series, concatenated and cut to n.
+
+    The starts are drawn as int64, whatever dtype the resampler draws them in.
+    """
     n = len(series)
-    starts = np.random.default_rng(seed).integers(0, n - block_length + 1, -(-n // block_length))
+    rng = np.random.default_rng(seed)
+    starts = rng.integers(0, n - block_length + 1, -(-n // block_length), dtype=np.int64)
     return np.concatenate([series[s : s + block_length] for s in starts])[:n]
 
 
@@ -65,6 +74,23 @@ class TestMovingBlockResample:
         out = moving_block_resample(positions, block_length=3, seed=5)
         assert out.dtype == np.int32
         np.testing.assert_array_equal(out, moving_block_resample(positions * 1.0, 3, seed=5))
+
+    @pytest.mark.parametrize(
+        "n, block_length",
+        sorted({(n, b) for n in (1, 2, 1000, 2**20) for b in (1, 7, n) if b <= n}),
+    )
+    def test_starts_are_the_int64_draw(self, n, block_length):
+        # starts are drawn as int32 where the range fits, with the same values
+        series = np.arange(n) * 3
+        out = moving_block_resample(series, block_length, seed=12345 + n)
+        np.testing.assert_array_equal(out, concatenated_blocks(series, block_length, 12345 + n))
+
+    @pytest.mark.parametrize("high", [2**31 - 1, 2**31 - 2, 2**31 - 5, 2**31 - 1000])
+    def test_int32_draws_are_the_int64_draws(self, high):
+        for seed in range(3):
+            wide = np.random.default_rng(seed).integers(0, high, 500, dtype=np.int64)
+            narrow = np.random.default_rng(seed).integers(0, high, 500, dtype=np.int32)
+            np.testing.assert_array_equal(narrow, wide)
 
     def test_invalid_block_length(self):
         with pytest.raises(ValueError):
@@ -199,3 +225,76 @@ class TestBootstrapCi:
             BootstrapConfig(ci_method="bca")
         with pytest.raises(ValueError):
             BootstrapConfig(seed=-1)
+
+
+def _positions_statistic(a):
+    return float(np.sum(a * np.arange(1, a.size + 1)))
+
+
+class TestReplicateScheduling:
+    data = np.arange(60, dtype=np.int64)
+
+    @pytest.mark.parametrize("block_length", [None, 4])
+    def test_replicates_are_the_same_for_any_workers(self, block_length):
+        config = BootstrapConfig(resamples=97, seed=7, block_length=block_length)
+        want = replicate_values(_positions_statistic, self.data, config, workers=1)
+        assert want.dtype == np.float64 and want.shape == (97,)
+        calls = []
+
+        def statistic(a):
+            calls.append(1)
+            return _positions_statistic(a)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # threads hand over often, more of them than cores
+        try:
+            for workers in (2, 3, 8):
+                calls.clear()
+                got = replicate_values(statistic, self.data, config, workers=workers)
+                np.testing.assert_array_equal(got, want)
+                assert len(calls) == config.resamples  # each index taken once
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_two_workers_are_the_caller_and_one_helper(self):
+        # each thread waits at its first replicate until another thread has
+        # one too, so both threads certainly run replicates
+        seen, barrier = set(), threading.Barrier(2, timeout=30)
+
+        def statistic(a):
+            ident = threading.get_ident()
+            if ident not in seen:
+                seen.add(ident)
+                barrier.wait()
+            return _positions_statistic(a)
+
+        replicate_values(statistic, self.data, BootstrapConfig(resamples=40, seed=1), workers=2)
+        assert len(seen) == 2 and threading.get_ident() in seen
+
+    def test_no_more_threads_than_replicates(self):
+        seen = set()
+
+        def statistic(a):
+            seen.add(threading.get_ident())
+            time.sleep(0.01)  # lets every started thread take a replicate
+            return _positions_statistic(a)
+
+        replicate_values(statistic, self.data, BootstrapConfig(resamples=3, seed=1), workers=8)
+        assert 1 <= len(seen) <= 3
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_a_failing_replicate_stops_the_rest(self, workers):
+        config = BootstrapConfig(resamples=1000, seed=2)
+        first = moving_block_resample(self.data, 1, derive_seed(config.seed, "replicate", 0, 0))
+        calls = []
+
+        def statistic(a):
+            calls.append(1)
+            if np.array_equal(a, first):
+                raise ArithmeticError("replicate 0")
+            time.sleep(0.001)  # lets the failing thread run
+            return _positions_statistic(a)
+
+        with pytest.raises(ArithmeticError, match="replicate 0"):
+            replicate_values(statistic, self.data, config, workers=workers)
+        assert len(calls) <= 25  # the threads in flight finish their replicate, no more

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -79,6 +80,24 @@ class TestEsjs:
         whole = km_binned_survival(p, 10, (0.0, 5.0)), km_binned_survival(q, 10, (0.0, 5.0))
         assert esjs(*whole) == 0.25936556631921465
         assert esjs(*whole) == pytest.approx(segment_esjs_oracle(*whole), rel=1e-15)
+
+    def test_peak_memory_is_the_grid_union(self):
+        # the survivals are evaluated a chunk at a time, so no grid-long level
+        # or index array joins the grid: the peak is np.union1d's transients
+        rng = np.random.default_rng(4)
+        p, q = (
+            empirical_survival(SortedSample.from_data(rng.gamma(2.0, 2.0, 10**5)))
+            for _ in range(2)
+        )
+        grid_bytes = np.union1d(p.breakpoints, q.breakpoints).nbytes
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            esjs(p, q)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * grid_bytes
 
 
 def _cell_products(grid, pv, qv):
