@@ -8,6 +8,7 @@ evaluation is scheduled (including thread parallelism).
 from __future__ import annotations
 
 import math
+import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -139,11 +140,11 @@ def replicate_values(statistic, data, config: BootstrapConfig, workers: int = 1)
     from ``(config.seed, replicate index, component index)``.  Integer
     components keep their dtype, so a statistic can take positions.
 
-    ``workers`` threads evaluate the replicates, the calling thread among
-    them: it starts ``workers - 1`` helpers (no more than there are
-    replicates), and each thread takes the next replicate index until none
-    is left.  Once the statistic raises, no thread takes another index, and
-    the exception propagates from here.
+    At most ``workers`` threads evaluate the replicates, the calling thread
+    among them: it starts ``workers - 1`` helpers, but no more than there are
+    other replicates or other CPUs, and each thread takes the next replicate
+    index until none is left.  Once the statistic raises, no thread takes
+    another index, and the exception propagates from here.
     """
     comps = _components(data)
     block_length = config.block_length or 1
@@ -173,7 +174,7 @@ def replicate_values(statistic, data, config: BootstrapConfig, workers: int = 1)
                 todo = iter(())
             raise
 
-    helpers = min(workers, config.resamples) - 1
+    helpers = min(workers, config.resamples, os.cpu_count() or 1) - 1
     if helpers < 1:
         work()
         return reps

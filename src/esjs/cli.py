@@ -4,7 +4,7 @@ Subcommands: fit, compare, simulate, divergence, scaling.  Reports are
 emitted on stdout as json (default), csv, or a human table; json is byte
 reproducible for an identical invocation (use --timing to opt into a
 wall-clock field).  Exit codes: 0 success, 1 usage error, 2 data error,
-3 numerical failure.
+3 numerical failure or out of memory.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ class _Parser(argparse.ArgumentParser):
 def _select(first: list[str], column: str) -> tuple[int, int] | None:
     """The selected field's index and the first data row's, from the fields
     of the first row; None when the header has no column of that name."""
-    if column.isdigit():
+    if column.isdecimal():  # exactly the strings int() reads as digits alone
         idx = int(column)
         probe = first[idx].strip() if len(first) > idx else ""
         try:
@@ -289,8 +289,9 @@ def _add_output_flags(sub, workers=True):
                      help="include wall-clock timing in the report")
     if workers:
         sub.add_argument("--workers", type=_int_at_least(1), default=1,
-                         help="threads that run bootstrap replicates, the main thread included "
-                         "(output is identical for any value)")
+                         help="at most this many threads run bootstrap replicates, the main "
+                         "thread included, and no more than the CPUs (output is identical "
+                         "for any value)")
 
 
 def build_parser() -> _Parser:
@@ -521,6 +522,9 @@ def run(argv=None) -> int:
         report = args.handler(args)
     except (ConvergenceError, ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"esjs: numerical failure: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:  # numpy's names the allocation it could not make
+        print("esjs: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return 3
     except ValueError as exc:  # CsvError and SupportError among them
         print(f"esjs: data error: {exc}", file=sys.stderr)

@@ -1,4 +1,4 @@
-"""The nine parametric families: density, survival, sampling, likelihood, MLE.
+"""The nine parametric families: parameters, support, sampling, MLE.
 
 Families and their parameter order (matching the reporting convention):
 
@@ -13,11 +13,10 @@ Families and their parameter order (matching the reporting convention):
     pareto       (shape,)            support x >= 1
 
 The table ``_FAMILIES`` at the end of this module holds one record per
-family: its parameter names and checks, its support, log-density, survival,
-sampler and fitter, and for an iterative fit the score that checks it.  Every
-public function looks the family up there, and the support is declared once:
-``support_problem`` and ``fit_mle`` read it for the data, ``density`` is 0
-outside it, and ``survival_of`` is 1 below it and 0 above it.
+family: its parameter names and checks, its support, sampler and fitter,
+and for an iterative fit the score that checks it.  Every public function
+looks the family up there; ``support_problem`` and ``fit_mle`` read the
+support for the data.  Nothing here evaluates a model density or survival.
 
 The qgaussian density is
 
@@ -53,22 +52,18 @@ __all__ = [
     "ParametricModel",
     "SupportError",
     "ConvergenceError",
-    "density",
-    "survival_of",
     "sample_from",
-    "log_likelihood",
     "fit_mle",
     "support_problem",
 ]
 
-_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 _LOG_10 = (2.302585092994046, -2.1707562233822494e-16)  # log(10) = hi + lo, to 2^-104
 _MAX_ITER = 200
 _SCORE_TOL = 1e-6
 
 
 def _special():
-    from scipy import special  # 0.3 s to import: only survival_of and the qgaussian fit need it
+    from scipy import special  # 0.3 s to import: only the qgaussian fit needs it
     return special
 
 
@@ -99,14 +94,6 @@ def _trigamma(x: float) -> float:
     tail = ((((((((43867 / 798 * z - 3617 / 510) * z + 7 / 6) * z - 691 / 2730) * z
                 + 5 / 66) * z - 1 / 30) * z + 1 / 42) * z - 1 / 30) * z + 1 / 6) * z / x
     return math.fsum([1.0 / x, 0.5 * z, tail, *terms])
-
-
-def _lgamma(x: float) -> float:
-    """log Gamma(x), x > 0; inf where math.lgamma overflows (x above about 2.5e305)."""
-    try:
-        return math.lgamma(x)
-    except OverflowError:
-        return math.inf
 
 
 class SupportError(ValueError):
@@ -147,18 +134,15 @@ class _Spec:
     """Everything the module knows about one family.
 
     The formulas take the parameters unpacked after their first arguments:
-    ``log_density(x, *params)`` and ``survival(x, *params)`` see only points
-    inside the support, ``draw(rng, n, *params)`` returns ``n`` unsorted
-    draws, ``fit(x)`` returns the maximum-likelihood parameters of the sorted
-    sample ``x`` and ``score(x, *params)``, set for the iterative fits only,
-    the gradient of its log-likelihood (None: a closed-form fit, with no verdict).
+    ``draw(rng, n, *params)`` returns ``n`` unsorted draws, ``fit(x)``
+    returns the maximum-likelihood parameters of the sorted sample ``x`` and
+    ``score(x, *params)``, set for the iterative fits only, the gradient of
+    its log-likelihood (None: a closed-form fit, with no verdict).
     """
 
     names: tuple[str, ...]
     #: (holds(*params), what "<family> requires ..." names when it fails)
     rules: tuple[tuple[Callable[..., bool], str], ...]
-    log_density: Callable[..., np.ndarray]
-    survival: Callable[..., np.ndarray]
     draw: Callable[..., np.ndarray]
     fit: Callable[[np.ndarray], tuple[float, ...]]
     #: support bounds; the upper one is always open
@@ -175,12 +159,6 @@ class _Spec:
         """True where ``x`` lies outside the support."""
         lo, hi = self.support
         return ((x < lo) if self.closed_below else (x <= lo)) | (x >= hi)
-
-    @property
-    def interior(self) -> float:
-        """A point inside the support, to stand in for the points outside it."""
-        lo = self.support[0]
-        return lo + 0.5 if math.isfinite(lo) else 0.0
 
 
 @dataclass(frozen=True)
@@ -203,32 +181,6 @@ class ParametricModel:
                 raise ValueError(f"{name} requires {requirement}")
 
 
-def _log_density_array(model: ParametricModel, x: np.ndarray) -> np.ndarray:
-    spec = _FAMILIES[model.family]
-    outside = spec.outside(x)
-    inner = spec.log_density(np.where(outside, spec.interior, x), *model.params)
-    return np.where(outside, -np.inf, inner)
-
-
-def density(model: ParametricModel, x):
-    """Probability density at scalar or array ``x`` (0 outside the support)."""
-    arr = np.asarray(x, dtype=np.float64)
-    out = np.exp(_log_density_array(model, arr))
-    return float(out) if arr.ndim == 0 else out
-
-
-def survival_of(model: ParametricModel, x):
-    """Model survival function 1 - CDF at scalar or array ``x``."""
-    arr = np.asarray(x, dtype=np.float64)
-    spec = _FAMILIES[model.family]
-    lo, hi = spec.support
-    # every draw lies above a point at or below the lower bound
-    below, above = arr <= lo, arr >= hi
-    inner = spec.survival(np.where(below | above, spec.interior, arr), *model.params)
-    out = np.where(below, 1.0, np.where(above, 0.0, inner))
-    return float(out) if arr.ndim == 0 else out
-
-
 def sample_from(model: ParametricModel, n: int, seed: int) -> SortedSample:
     """Draw ``n`` independent observations; deterministic given ``seed``.
 
@@ -245,11 +197,6 @@ def sample_from(model: ParametricModel, n: int, seed: int) -> SortedSample:
             f"{model.family.value} draws overflow float64 at parameters {model.params}"
         )
     return SortedSample(draws)
-
-
-def log_likelihood(model: ParametricModel, sample: SortedSample) -> float:
-    """Sum of log densities; -inf if any observation is outside the support."""
-    return float(np.sum(_log_density_array(model, sample.values)))
 
 
 def support_problem(family: Family, sample: SortedSample) -> str | None:
@@ -300,18 +247,6 @@ def fit_mle(family: Family, sample: SortedSample) -> ParametricModel:
     return model
 
 
-def _normal_log_density(x: np.ndarray, mu: float, sd: float) -> np.ndarray:
-    with np.errstate(over="ignore"):  # -inf is the correctly rounded value there
-        z = (x - mu) / sd
-        return -0.5 * z * z - math.log(sd) - _HALF_LOG_2PI
-
-
-def _lognormal_log_density(x: np.ndarray, mu: float, sd: float) -> np.ndarray:
-    lx = np.log(x)
-    z = (lx - mu) / sd
-    return -lx - math.log(sd) - _HALF_LOG_2PI - 0.5 * z * z
-
-
 def _gamma_score(x: np.ndarray, k: float, tau: float) -> np.ndarray:
     n = x.size
     g_k = float(np.log(x).sum()) - n * _digamma(k) - n * math.log(tau)
@@ -327,11 +262,6 @@ def _weibull_score(x: np.ndarray, k: float, tau: float) -> np.ndarray:
     g_k = n / k + float(np.log(x).sum()) - n * math.log(tau) - float((zk * lz).sum())
     g_tau = (k / tau) * (float(zk.sum()) - n)
     return np.array([g_k, g_tau])
-
-
-def _weibull_power(x: np.ndarray, k: float, tau: float) -> np.ndarray:
-    with np.errstate(over="ignore"):  # inf far out in the tail: density and survival 0
-        return (x / tau) ** k
 
 
 def _beta_score(x: np.ndarray, a: float, b: float) -> np.ndarray:
@@ -626,8 +556,6 @@ _FAMILIES = {
     Family.NORMAL: _Spec(
         names=("mean", "sd"),
         rules=((lambda mu, sd: sd > 0, "sd > 0"),),
-        log_density=_normal_log_density,
-        survival=lambda x, mu, sd: _special().ndtr((mu - x) / sd),
         draw=lambda rng, n, mu, sd: rng.normal(mu, sd, n),
         fit=_fit_normal,
         units=(0, 1),
@@ -635,16 +563,12 @@ _FAMILIES = {
     Family.UNIFORM: _Spec(
         names=("lower", "upper"),
         rules=((lambda lo, hi: lo < hi, "lower < upper"),),
-        log_density=lambda x, lo, hi: np.where((x >= lo) & (x <= hi), -math.log(hi - lo), -np.inf),
-        survival=lambda x, lo, hi: np.clip((hi - x) / (hi - lo), 0.0, 1.0),
         draw=lambda rng, n, lo, hi: rng.uniform(lo, hi, n),
         fit=_fit_uniform,
     ),
     Family.LOG_NORMAL: _Spec(
         names=("log_mean", "log_sd"),
         rules=((lambda mu, sd: sd > 0, "sd > 0"),),
-        log_density=_lognormal_log_density,
-        survival=lambda x, mu, sd: _special().ndtr((mu - np.log(x)) / sd),
         draw=lambda rng, n, mu, sd: rng.lognormal(mu, sd, n),
         fit=lambda x: _fit_normal(np.log(x), "lognormal"),
         support=(0.0, math.inf),
@@ -653,10 +577,6 @@ _FAMILIES = {
     Family.GAMMA: _Spec(
         names=("shape", "scale"),
         rules=((lambda k, tau: k > 0 and tau > 0, "shape > 0 and scale > 0"),),
-        log_density=lambda x, k, tau: (
-            (k - 1.0) * np.log(x) - x / tau - _lgamma(k) - k * math.log(tau)
-        ),
-        survival=lambda x, k, tau: _special().gammaincc(k, x / tau),
         draw=lambda rng, n, k, tau: rng.gamma(k, tau, n),
         score=_gamma_score,
         fit=_fit_gamma,
@@ -667,10 +587,6 @@ _FAMILIES = {
     Family.WEIBULL: _Spec(
         names=("shape", "scale"),
         rules=((lambda k, tau: k > 0 and tau > 0, "shape > 0 and scale > 0"),),
-        log_density=lambda x, k, tau: (
-            math.log(k) + (k - 1.0) * np.log(x) - k * math.log(tau) - _weibull_power(x, k, tau)
-        ),
-        survival=lambda x, k, tau: np.exp(-_weibull_power(x, k, tau)),
         draw=lambda rng, n, k, tau: tau * rng.weibull(k, n),
         score=_weibull_score,
         fit=_fit_weibull,
@@ -681,12 +597,6 @@ _FAMILIES = {
     Family.BETA: _Spec(
         names=("alpha", "beta"),
         rules=((lambda a, b: a > 0 and b > 0, "alpha > 0 and beta > 0"),),
-        log_density=lambda x, a, b: (
-            (a - 1.0) * np.log(x)
-            + (b - 1.0) * np.log1p(-x)
-            + (_lgamma(a + b) - _lgamma(a) - _lgamma(b))
-        ),
-        survival=lambda x, a, b: 1.0 - _special().betainc(a, b, x),
         draw=lambda rng, n, a, b: rng.beta(a, b, n),
         score=_beta_score,
         fit=_fit_beta,
@@ -696,8 +606,6 @@ _FAMILIES = {
     Family.Q_GAUSSIAN: _Spec(
         names=("tail", "width"),
         rules=((lambda t, w: t > 1, "tail exponent > 1"), (lambda t, w: w > 0, "width > 0")),
-        log_density=lambda x, t, w: _qgaussian_log_norm(t, w) - 0.5 * t * _log1p_z2(x, w)[0],
-        survival=lambda x, t, w: _special().stdtr(t - 1.0, -x * math.sqrt(t - 1.0) / w),
         draw=lambda rng, n, t, w: rng.standard_t(t - 1.0, n) * (w / math.sqrt(t - 1.0)),
         score=lambda x, t, w: _qgaussian_terms(x, t, w)[1],
         fit=_fit_qgaussian,
@@ -706,8 +614,6 @@ _FAMILIES = {
     Family.EXPONENTIAL: _Spec(
         names=("scale",),
         rules=((lambda tau: tau > 0, "scale > 0"),),
-        log_density=lambda x, tau: -math.log(tau) - x / tau,
-        survival=lambda x, tau: np.exp(-x / tau),
         draw=lambda rng, n, tau: rng.exponential(tau, n),
         fit=_fit_exponential,
         units=(0,),
@@ -718,8 +624,6 @@ _FAMILIES = {
     Family.PARETO: _Spec(
         names=("shape",),
         rules=((lambda alpha: alpha > 0, "shape > 0"),),
-        log_density=lambda x, alpha: math.log(alpha) - (alpha + 1.0) * np.log(x),
-        survival=lambda x, alpha: x ** (-alpha),
         draw=lambda rng, n, alpha: rng.pareto(alpha, n) + 1.0,
         fit=_fit_pareto,
         support=(1.0, math.inf),

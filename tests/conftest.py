@@ -30,6 +30,28 @@ MODEL_POOL = [
 ]
 
 
+def scipy_distribution(model: ParametricModel):
+    """Independent oracle: ``model`` as a frozen ``scipy.stats`` distribution."""
+    from scipy import stats
+
+    return {
+        Family.NORMAL: lambda mu, sd: stats.norm(mu, sd),
+        Family.UNIFORM: lambda lo, hi: stats.uniform(lo, hi - lo),
+        Family.LOG_NORMAL: lambda mu, sd: stats.lognorm(sd, scale=np.exp(mu)),
+        Family.GAMMA: lambda k, tau: stats.gamma(k, scale=tau),
+        Family.WEIBULL: lambda k, tau: stats.weibull_min(k, scale=tau),
+        Family.BETA: lambda a, b: stats.beta(a, b),
+        Family.Q_GAUSSIAN: lambda t, w: stats.t(t - 1.0, scale=w / np.sqrt(t - 1.0)),
+        Family.EXPONENTIAL: lambda tau: stats.expon(scale=tau),
+        Family.PARETO: lambda alpha: stats.pareto(alpha),
+    }[model.family](*model.params)
+
+
+def scipy_log_likelihood(model: ParametricModel, sample: SortedSample) -> float:
+    """Independent oracle: the sum of ``scipy.stats`` log densities over ``sample``."""
+    return float(np.sum(scipy_distribution(model).logpdf(sample.values)))
+
+
 def random_model(rng: np.random.Generator) -> ParametricModel:
     return MODEL_POOL[int(rng.integers(len(MODEL_POOL)))]
 

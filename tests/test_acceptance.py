@@ -21,7 +21,6 @@ from esjs import (
     esjs,
     esjs_spacings,
     fit_mle,
-    log_likelihood,
     moving_block_resample,
     powerlaw_fit,
     replicate_values,
@@ -31,7 +30,7 @@ from esjs import (
     survival_entropy,
 )
 
-from conftest import random_sample, step_integral_of_neg_slogs
+from conftest import random_sample, scipy_log_likelihood, step_integral_of_neg_slogs
 
 SEEDS = (1, 2, 3, 4, 5)
 DESK_N = 100_000
@@ -318,7 +317,8 @@ def test_criterion_8_mle_correctness():
         norm = float(np.linalg.norm(score))
         if norm > 1e-6:
             iterative_failures.append(f"{family.value}: score norm {norm:.3g}")
-        if log_likelihood(fitted, sample) < log_likelihood(true_model, sample) - 1e-6 * n:
+        fitted_ll, true_ll = (scipy_log_likelihood(m, sample) for m in (fitted, true_model))
+        if fitted_ll < true_ll - 1e-6 * n:
             iterative_failures.append(f"{family.value}: fitted likelihood below truth")
     ok = not recovery_failures and not iterative_failures
     _verdict(

@@ -1,6 +1,8 @@
+import os
 import sys
 import threading
 import time
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from esjs import (
     percentile_of_replicates,
     replicate_values,
 )
+from esjs import bootstrap
 from esjs.seeds import derive_seed
 
 
@@ -234,8 +237,14 @@ def _positions_statistic(a):
 class TestReplicateScheduling:
     data = np.arange(60, dtype=np.int64)
 
+    @pytest.fixture
+    def cpus(self, monkeypatch):
+        """Sets how many CPUs the scheduler sees, which caps its helper threads."""
+        return lambda count: monkeypatch.setattr(os, "cpu_count", lambda: count)
+
     @pytest.mark.parametrize("block_length", [None, 4])
-    def test_replicates_are_the_same_for_any_workers(self, block_length):
+    def test_replicates_are_the_same_for_any_workers(self, block_length, cpus):
+        cpus(8)
         config = BootstrapConfig(resamples=97, seed=7, block_length=block_length)
         want = replicate_values(_positions_statistic, self.data, config, workers=1)
         assert want.dtype == np.float64 and want.shape == (97,)
@@ -256,7 +265,8 @@ class TestReplicateScheduling:
         finally:
             sys.setswitchinterval(interval)
 
-    def test_two_workers_are_the_caller_and_one_helper(self):
+    def test_two_workers_are_the_caller_and_one_helper(self, cpus):
+        cpus(2)
         # each thread waits at its first replicate until another thread has
         # one too, so both threads certainly run replicates
         seen, barrier = set(), threading.Barrier(2, timeout=30)
@@ -271,7 +281,8 @@ class TestReplicateScheduling:
         replicate_values(statistic, self.data, BootstrapConfig(resamples=40, seed=1), workers=2)
         assert len(seen) == 2 and threading.get_ident() in seen
 
-    def test_no_more_threads_than_replicates(self):
+    def test_no_more_threads_than_replicates(self, cpus):
+        cpus(8)
         seen = set()
 
         def statistic(a):
@@ -282,8 +293,39 @@ class TestReplicateScheduling:
         replicate_values(statistic, self.data, BootstrapConfig(resamples=3, seed=1), workers=8)
         assert 1 <= len(seen) <= 3
 
+    @pytest.mark.parametrize("count, helpers", [(4, [3]), (1, []), (None, [])],
+                             ids=["4 cpus", "1 cpu", "unknown"])
+    def test_no_more_threads_than_cpus(self, cpus, monkeypatch, count, helpers):
+        # a stand-in pool records how many threads it was asked for and starts
+        # none, so the caller runs every replicate itself
+        asked = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def submit(self, fn):
+                done = Future()
+                done.set_result(None)
+                return done
+
+        cpus(count)
+        monkeypatch.setattr(bootstrap, "ThreadPoolExecutor", RecordingPool)
+        config = BootstrapConfig(resamples=50, seed=1)
+        got = replicate_values(_positions_statistic, self.data, config, workers=5000)
+        assert asked == helpers
+        want = replicate_values(_positions_statistic, self.data, config, workers=1)
+        np.testing.assert_array_equal(got, want)
+
     @pytest.mark.parametrize("workers", [1, 3])
-    def test_a_failing_replicate_stops_the_rest(self, workers):
+    def test_a_failing_replicate_stops_the_rest(self, workers, cpus):
+        cpus(8)
         config = BootstrapConfig(resamples=1000, seed=2)
         first = moving_block_resample(self.data, 1, derive_seed(config.seed, "replicate", 0, 0))
         calls = []

@@ -1,8 +1,10 @@
+import ast
 import contextlib
 import csv
 import io
 import json
 import os
+import pathlib
 import subprocess
 import sys
 import tempfile
@@ -65,6 +67,15 @@ class TestIngestCsv:
         path = write(tmp_path, "d.csv", "t,value\n0,5\n1,4\n")
         sample = ingest_csv(path, column="1")
         assert list(sample.values) == [4.0, 5.0]
+
+    def test_column_names_that_are_digits_but_not_decimals(self, tmp_path):
+        # "²" is a digit to str.isdigit but not a number to int(): it is a name;
+        # "١" (Arabic-Indic one) is a decimal, so it selects by index as int() reads it
+        plain = write(tmp_path, "plain.csv", "t,²\n0,5\n1,4\n")
+        quoted = write(tmp_path, "quoted.csv", 't,"²"\n0,5\n1,4\n')
+        for path in (plain, quoted):
+            assert list(read_csv_column(path, "²")) == [5.0, 4.0]
+            assert list(read_csv_column(path, "١")) == [5.0, 4.0]
 
     def test_crlf_endings(self, tmp_path):
         path = tmp_path / "e.csv"
@@ -516,6 +527,21 @@ class TestRunFitAndCompare:
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("message", ["Unable to allocate 22.4 GiB for an array", ""])
+    def test_out_of_memory_exit_3(self, tmp_path, capsys, monkeypatch, message):
+        # a stage that cannot allocate, as numpy reports it; nothing is allocated for real
+        def no_memory(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(esjs.gof, "sample_from", no_memory)
+        path = write(tmp_path, "n.csv", "1\n2\n3\n4\n")
+        for argv in (["simulate", "--given", "normal:0,1", "--hypotheses", "normal", "--n", "9"],
+                     ["fit", "--input", path, "--family", "normal", "--model-sample-size", "9"]):
+            assert run([*argv, "--bootstrap", "2", "--seed", "1"]) == 3
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == "esjs: out of memory" + (f": {message}" if message else "") + "\n"
+
 
 class TestNumericalEdgeCases:
     def test_gamma_on_values_near_the_underflow_limit(self, tmp_path):
@@ -557,12 +583,11 @@ class TestEntrypoint:
 
 
 # Runs in a fresh interpreter: the pipeline on every family but qgaussian must
-# leave scipy unloaded; a qgaussian fit and survival_of then load it and work.
+# leave scipy unloaded; a qgaussian fit then loads it and works.
 _STARTUP_SCRIPT = """
 import contextlib, io, json, sys
-import numpy as np
 import esjs.cli
-from esjs import Family, ParametricModel, fit_mle, sample_from, survival_of
+from esjs import Family, ParametricModel, fit_mle, sample_from
 
 def loaded():
     return sorted(m for m in sys.modules if m.startswith("scipy"))
@@ -581,38 +606,43 @@ with contextlib.redirect_stdout(io.StringIO()):
 out["codes"], out["pipeline"] = codes, loaded()
 sample = sample_from(ParametricModel(Family.Q_GAUSSIAN, (4.0, 1.0)), 400, 11)
 out["qgaussian"] = fit_mle(Family.Q_GAUSSIAN, sample).params
-out["survival"] = {
-    name: survival_of(ParametricModel(Family.parse(name), params), json.loads(sys.argv[2])).tolist()
-    for name, params in json.loads(sys.argv[3]).items()
-}
 out["after"] = loaded()
 print(json.dumps(out))
 """
 
+# The only places in src/esjs that import scipy: (module, innermost enclosing function)
+SCIPY_IMPORTERS = {("distributions", "_special"), ("distributions", "_fit_qgaussian")}
+
+
+def _scipy_importers(path) -> set[tuple[str, str | None]]:
+    found = set()
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""]
+        else:
+            modules = []
+        if any(m.split(".")[0] == "scipy" for m in modules):
+            found.add((path.stem, function))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(path.read_text()), None)
+    return found
+
 
 class TestStartUp:
-    def test_scipy_loads_only_for_qgaussian_fits_and_survival_of(self, tmp_path):
-        from scipy import stats
-
+    def test_scipy_loads_only_for_qgaussian_fits(self, tmp_path):
         # beta needs data in (0, 1); pareto (data >= 1) is skipped with its reason
         data = np.random.default_rng(5).beta(2.0, 3.0, 300)
         path = write(tmp_path, "x.csv", "\n".join(map(repr, data.tolist())) + "\n")
-        points = [0.05, 0.3, 0.7, 1.5, 2.5, 6.0]
-        models = {
-            "normal": ((0.5, 2.0), stats.norm(0.5, 2.0)),
-            "uniform": ((-1.0, 3.0), stats.uniform(-1.0, 4.0)),
-            "lognormal": ((0.2, 0.7), stats.lognorm(0.7, scale=np.exp(0.2))),
-            "gamma": ((2.5, 1.5), stats.gamma(2.5, scale=1.5)),
-            "weibull": ((1.5, 2.0), stats.weibull_min(1.5, scale=2.0)),
-            "beta": ((2.0, 3.0), stats.beta(2.0, 3.0)),
-            "qgaussian": ((4.0, 1.0), stats.t(3.0, scale=1.0 / np.sqrt(3.0))),
-            "exponential": ((1.5,), stats.expon(scale=1.5)),
-            "pareto": ((2.5,), stats.pareto(2.5)),
-        }
         src = os.path.dirname(os.path.dirname(os.path.abspath(esjs.gof.__file__)))
         proc = subprocess.run(
-            [sys.executable, "-c", _STARTUP_SCRIPT, path, json.dumps(points),
-             json.dumps({name: params for name, (params, _) in models.items()})],
+            [sys.executable, "-c", _STARTUP_SCRIPT, path],
             capture_output=True, text=True, timeout=120,
             env={**os.environ, "PYTHONPATH": src},
         )
@@ -623,9 +653,12 @@ class TestStartUp:
         assert out["pipeline"] == []
         # the fit scipy's gamma functions and L-BFGS-B gave before they loaded lazily
         assert out["qgaussian"] == [3.5747095559318813, 0.9479306350708966]
-        for name, (_, dist) in models.items():
-            assert out["survival"][name] == pytest.approx(dist.sf(points), rel=1e-14, abs=0)
         assert "scipy.special" in out["after"]
+
+    def test_scipy_is_imported_only_by_the_listed_functions(self):
+        package = pathlib.Path(esjs.gof.__file__).parent
+        found = set().union(*(_scipy_importers(path) for path in package.glob("*.py")))
+        assert found == SCIPY_IMPORTERS
 
 
 class TestRunScaling:

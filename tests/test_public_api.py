@@ -11,11 +11,10 @@ PACKAGE = pathlib.Path(esjs.__file__).parent
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
 # Public names that nothing in the library calls, kept as references for the
-# tests: density and log_likelihood check the fitters (finite differences of
-# the likelihood, fitted against true likelihood), survival_of checks the
-# samplers and the empirical survival, and esjs_spacings, the paper's
-# order-statistics form, is an independent oracle for the kernel.
-TEST_REFERENCES = {"density", "log_likelihood", "survival_of", "esjs_spacings"}
+# tests: esjs_spacings, the paper's order-statistics form, is an independent
+# oracle for the kernel.  Model densities and survivals come from scipy.stats
+# in the tests (conftest.scipy_distribution), not from the library.
+TEST_REFERENCES = {"esjs_spacings"}
 
 
 def _modules():
