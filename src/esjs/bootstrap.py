@@ -116,19 +116,13 @@ def percentile_of_replicates(replicates: np.ndarray, q: float) -> float:
 
 
 def _components(data) -> tuple[np.ndarray, ...]:
-    if isinstance(data, (tuple, list)):
-        parts = data
-    else:
-        parts = (data,)
+    """The samples in ``data``: several only when it is a tuple."""
     out = []
-    for part in parts:
-        if isinstance(part, SortedSample):
-            out.append(part.values)
-        else:
-            arr = _as_component(part)
-            if arr.size == 0:
-                raise ValueError("empty data component")
-            out.append(arr)
+    for part in data if isinstance(data, tuple) else (data,):
+        arr = _as_component(part.values if isinstance(part, SortedSample) else part)
+        if arr.size == 0:
+            raise ValueError("empty data component")
+        out.append(arr)
     return tuple(out)
 
 

@@ -17,6 +17,7 @@ import math
 import os
 import sys
 import time
+from array import array
 
 import numpy as np
 
@@ -35,8 +36,6 @@ from .gof import (
 from .survival import DEFAULT_BINS, SortedSample
 
 __all__ = ["CsvError", "read_csv_column", "ingest_csv", "run", "entrypoint"]
-
-_DEFAULT_SCALING_SIZES = ",".join(str(2**k) for k in range(5, 18))
 
 
 class CsvError(ValueError):
@@ -138,25 +137,30 @@ def _read_plain(text: str, column: str) -> np.ndarray | None:
 
 
 def _read_with_csv_module(raw: bytes, path: str, column: str) -> np.ndarray:
-    """Read the column through ``csv.reader``: quoted fields, gaps and errors."""
-    with io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig", newline="") as fh:
-        reader = csv_module.reader(fh)
-        try:
-            rows = list(reader)
-        except csv_module.Error as exc:
-            raise CsvError(f"{path}: line {reader.line_num}: {exc}") from exc
-    if not rows:
-        raise CsvError(f"{path}: empty file")
+    """Read the column through ``csv.reader``: quoted fields, gaps and errors.
+    No row is kept: a first pass, which only counts them, reports a malformed row first."""
+    def rows():
+        with io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig", newline="") as fh:
+            reader = csv_module.reader(fh)
+            try:
+                yield from reader
+            except csv_module.Error as exc:
+                raise CsvError(f"{path}: line {reader.line_num}: {exc}") from exc
 
-    selected = _select(rows[0], column)
+    if not sum(1 for _ in rows()):
+        raise CsvError(f"{path}: empty file")
+    rest = rows()
+    first = next(rest)
+
+    selected = _select(first, column)
     if selected is None:
-        header = [cell.strip() for cell in rows[0]]
+        header = [cell.strip() for cell in first]
         raise CsvError(f"{path}: no column named {column!r} in header {header}")
     idx, start = selected
 
-    values: list[float] = []
-    missing: list[int] = []
-    for offset, row in enumerate(rows[start:], start=start + 1):
+    values, missing = array("d"), []
+    # with no header row, the values start at the first row
+    for offset, row in enumerate(rest if start else rows(), start=start + 1):
         field = row[idx].strip() if len(row) > idx else ""
         if not field:
             missing.append(offset)
@@ -178,7 +182,7 @@ def _read_with_csv_module(raw: bytes, path: str, column: str) -> np.ndarray:
         )
     if not values:
         raise CsvError(f"{path}: no numeric rows")
-    return np.asarray(values, dtype=np.float64)
+    return np.array(values)
 
 
 def ingest_csv(path: str, column: str = "0") -> SortedSample:
@@ -217,16 +221,6 @@ def _model_arg(text: str) -> ParametricModel:
         raise argparse.ArgumentTypeError(f"bad model spec {text!r}: {exc}") from exc
 
 
-def _seed_arg(text: str) -> int:
-    try:
-        seed = int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"seed must be an integer, got {text!r}") from exc
-    if seed < 0:
-        raise argparse.ArgumentTypeError("seed must be non-negative")
-    return seed
-
-
 def _int_at_least(minimum: int):
     def parse(text: str) -> int:
         try:
@@ -251,12 +245,9 @@ def _level_arg(text: str) -> float:
 
 
 def _sizes_arg(text: str) -> list[int]:
-    try:
-        sizes = [int(part) for part in text.split(",") if part.strip()]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad sizes list {text!r}") from exc
-    if not sizes or any(s < 2 for s in sizes):
-        raise argparse.ArgumentTypeError("sizes must be integers >= 2")
+    sizes = [_int_at_least(2)(part) for part in text.split(",") if part.strip()]
+    if len(set(sizes)) < 2:
+        raise argparse.ArgumentTypeError("sizes must hold at least two different sizes")
     return sizes
 
 
@@ -280,18 +271,17 @@ def _add_bootstrap_flags(sub):
                      help="confidence-interval construction")
     sub.add_argument("--block-length", type=_int_at_least(1), default=None,
                      help="moving-block bootstrap block length (default: iid, the same draws as 1)")
-    sub.add_argument("--seed", type=_seed_arg, required=True)
+    sub.add_argument("--seed", type=_int_at_least(0), required=True)
+    sub.add_argument("--workers", type=_int_at_least(1), default=1,
+                     help="at most this many threads run bootstrap replicates, the main "
+                     "thread included, and no more than the CPUs (output is identical "
+                     "for any value)")
 
 
-def _add_output_flags(sub, workers=True):
+def _add_output_flags(sub):
     sub.add_argument("--format", choices=("json", "csv", "table"), default="json")
     sub.add_argument("--timing", action="store_true",
                      help="include wall-clock timing in the report")
-    if workers:
-        sub.add_argument("--workers", type=_int_at_least(1), default=1,
-                         help="at most this many threads run bootstrap replicates, the main "
-                         "thread included, and no more than the CPUs (output is identical "
-                         "for any value)")
 
 
 def build_parser() -> _Parser:
@@ -329,14 +319,14 @@ def build_parser() -> _Parser:
     div = subs.add_parser("divergence", help="divergence between two CSV samples")
     _add_input_flags(div, "--input-p", "--input-q")
     _add_bins_flags(div)
-    _add_output_flags(div, workers=False)
+    _add_output_flags(div)
     div.set_defaults(handler=_run_divergence)
 
     scal = subs.add_parser("scaling", help="self-fit divergence across sample sizes")
     scal.add_argument("--given", type=_model_arg, required=True)
-    scal.add_argument("--sizes", type=_sizes_arg, default=_sizes_arg(_DEFAULT_SCALING_SIZES))
-    scal.add_argument("--seed", type=_seed_arg, required=True)
-    _add_output_flags(scal, workers=False)
+    scal.add_argument("--sizes", type=_sizes_arg, default=[2**k for k in range(5, 18)])
+    scal.add_argument("--seed", type=_int_at_least(0), required=True)
+    _add_output_flags(scal)
     scal.set_defaults(handler=_run_scaling)
 
     return parser
@@ -465,18 +455,16 @@ def _run_scaling(args) -> dict:
 def _csv_lines(report: dict) -> list[list]:
     if "powerlaw" in report:
         lines = [["size", "param1", "param2", "esjs"]]
-        for row in report["rows"]:
-            params = row["params"] + [""] * (2 - len(row["params"]))
-            lines.append([row["size"], params[0], params[1], row["esjs"]])
+        for row in report["rows"]:  # a one-parameter family leaves param2 blank
+            lines.append([row["size"], *(row["params"] + [""])[:2], row["esjs"]])
         lines.append(["powerlaw_amplitude", report["powerlaw"]["amplitude"],
                       "powerlaw_exponent", report["powerlaw"]["exponent"]])
         return lines
     if "rows" in report:
         lines = [["family", "param1", "param2", "esjs", "distance", "lb", "ub", "level"]]
         for row in report["rows"]:
-            params = row["params"] + [""] * (2 - len(row["params"]))
             lines.append(
-                [row["family"], params[0], params[1], row["esjs"], row["distance"],
+                [row["family"], *(row["params"] + [""])[:2], row["esjs"], row["distance"],
                  row["ci"]["lb"], row["ci"]["ub"], row["ci"]["level"]]
             )
         return lines

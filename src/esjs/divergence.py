@@ -24,7 +24,6 @@ __all__ = [
     "EsjsFactor",
     "esjs",
     "esjs_spacings",
-    "esjs_factor",
 ]
 
 
@@ -87,13 +86,20 @@ def _step_sum(grid: np.ndarray, fill, out: np.ndarray, t: np.ndarray) -> float:
     the result, so ``grid`` is spent; it may not overlap any other buffer.
     """
     n = grid.size - 1
+    # a range past the largest float (in Python floats: numpy warns) takes
+    # half-widths, its ends halved before they are subtracted, and a doubled sum
+    half = math.isinf(float(grid[n]) - float(grid[0]))
     for lo in range(0, n, _CHUNK):
         hi = min(lo + _CHUNK, n)
         integrand = _integrand(*fill(lo, hi), out[: hi - lo], t[: hi - lo])
         # t is free again; grid[hi] is read here, before the next chunk writes it
-        widths = np.subtract(grid[lo + 1 : hi + 1], grid[lo:hi], out=t[: hi - lo])
+        if half:  # fill has read grid[lo:hi], so it may be halved in place
+            widths = np.multiply(grid[lo + 1 : hi + 1], 0.5, out=t[: hi - lo])
+            widths -= np.multiply(grid[lo:hi], 0.5, out=grid[lo:hi])
+        else:
+            widths = np.subtract(grid[lo + 1 : hi + 1], grid[lo:hi], out=t[: hi - lo])
         np.multiply(widths, integrand, out=grid[lo:hi])
-    return float(np.sum(grid[:n])) + 0.0
+    return float(np.sum(grid[:n])) * (2.0 if half else 1.0) + 0.0
 
 
 def esjs_spacings(p_sample: SortedSample, q_sample: SortedSample) -> float:
@@ -138,15 +144,3 @@ class EsjsFactor:
         if self.numerator_esjs < 0 or self.denominator_esjs < 0:
             raise ValueError("divergence scores must be nonnegative")
 
-
-def esjs_factor(challenger_esjs: float, champion_esjs: float) -> EsjsFactor:
-    """Factor between a challenger score and the champion (reference) score."""
-    if champion_esjs < 0 or challenger_esjs < 0:
-        raise ValueError("divergence scores must be nonnegative")
-    if champion_esjs == 0:
-        raise ValueError("degenerate perfect fit")
-    return EsjsFactor(
-        ratio=challenger_esjs / champion_esjs,
-        numerator_esjs=float(challenger_esjs),
-        denominator_esjs=float(champion_esjs),
-    )

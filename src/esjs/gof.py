@@ -17,7 +17,7 @@ import numpy as np
 from .bootstrap import BootstrapConfig, ConfidenceInterval, bootstrap_ci
 from .distributions import ConvergenceError, Family, ParametricModel, fit_mle, sample_from
 from .distributions import support_problem
-from .divergence import _CHUNK, EsjsFactor, _step_sum, esjs, esjs_factor
+from .divergence import _CHUNK, EsjsFactor, _step_sum, esjs
 from .seeds import derive_seed
 from .survival import SortedSample, _snap_up, empirical_survival, km_binned_survival
 
@@ -247,7 +247,7 @@ def compare_families(
         challenger = None
     else:
         chall = min(candidates, key=lambda r: r.esjs)
-        factor = esjs_factor(chall.esjs, best.esjs)
+        factor = EsjsFactor(chall.esjs / best.esjs, chall.esjs, best.esjs)
         challenger = chall.family
         note = None
     return ExperimentReport(
@@ -320,14 +320,12 @@ def powerlaw_fit(xs, ys) -> tuple[float, float]:
     ys = np.asarray(ys, dtype=np.float64).ravel()
     if xs.size != ys.size:
         raise ValueError("xs and ys must have equal length")
-    if xs.size < 2:
-        raise ValueError("power-law fit needs at least two points")
     if np.any(xs <= 0) or np.any(ys <= 0) or not (
         np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))
     ):
         raise ValueError("power-law fit requires positive finite values")
     lx = np.log(xs)
-    if np.all(lx == lx[0]):
+    if np.unique(lx).size < 2:
         raise ValueError("power-law fit needs at least two distinct x values")
     slope, intercept = np.polyfit(lx, np.log(ys), 1)
     return math.exp(float(intercept)), float(slope)

@@ -59,10 +59,7 @@ class SortedSample:
     @classmethod
     def from_data(cls, data) -> "SortedSample":
         """Sort raw observations into a sample."""
-        arr = np.asarray(data, dtype=np.float64).ravel()
-        if arr.size == 0:
-            raise ValueError("empty sample")
-        return cls(np.sort(arr))
+        return cls(np.sort(np.asarray(data, dtype=np.float64).ravel()))
 
     @property
     def n(self) -> int:

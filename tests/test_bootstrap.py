@@ -180,6 +180,14 @@ class TestBootstrapCi:
         assert ci.point == 1.0
         assert ci.lb == ci.ub == 1.0
 
+    def test_a_list_is_one_sample(self):
+        # only a tuple holds several samples
+        config = BootstrapConfig(resamples=20, seed=1)
+        values = [1.0, 2.0, 3.0, 4.0]
+        assert bootstrap_ci(np.mean, values, config) == bootstrap_ci(
+            np.mean, np.array(values), config
+        )
+
     @pytest.mark.parametrize(
         "config",
         [

@@ -691,6 +691,15 @@ class TestRunScaling:
             run(["scaling", "--given", "normal:0,1", "--sizes", "1,2", "--seed", "9"])
         assert exc.value.code == 1
 
+    @pytest.mark.parametrize("sizes", ["32", "32,32"])
+    def test_fewer_than_two_different_sizes_is_a_usage_error(self, sizes, monkeypatch):
+        # a power law needs two different sizes, so parsing stops the run: a
+        # run that reached the (removed) experiment would raise TypeError
+        monkeypatch.setattr(esjs.cli, "scaling_experiment", None)
+        with pytest.raises(SystemExit) as exc:
+            run(["scaling", "--given", "normal:0,1", "--sizes", sizes, "--seed", "1"])
+        assert exc.value.code == 1
+
     def test_workers_is_a_usage_error(self):
         # scaling runs no bootstrap, so it has no replicate threads to set
         with pytest.raises(SystemExit) as exc:
@@ -701,7 +710,9 @@ class TestRunScaling:
 
 # ties come from repeated draws of the sampled values
 FUZZ_VALUES = st.one_of(
-    st.sampled_from([0.0, 1.0, -1.0, 0.5, 5e-324, -5e-324, 2.2e-308, 1e300, -1e300]),
+    st.sampled_from(
+        [0.0, 1.0, -1.0, 0.5, 5e-324, -5e-324, 2.2e-308, 1e300, -1e300, 1.7e308, -1.7e308]
+    ),
     st.floats(-1e3, 1e3),
 )
 FUZZ_COLUMNS = st.one_of(
@@ -754,3 +765,5 @@ class TestFuzz:
                 except SystemExit as exc:  # argparse: usage error
                     code = exc.code
         assert code in (0, 1, 2, 3), (argv, stderr.getvalue())
+        # json has no NaN: a report that holds one is not a result
+        assert code != 0 or "NaN" not in stdout.getvalue(), argv

@@ -7,10 +7,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from esjs import (
+    EsjsFactor,
     SortedSample,
     empirical_survival,
     esjs,
-    esjs_factor,
     esjs_spacings,
     km_binned_survival,
     survival_entropy,
@@ -80,6 +80,24 @@ class TestEsjs:
         whole = km_binned_survival(p, 10, (0.0, 5.0)), km_binned_survival(q, 10, (0.0, 5.0))
         assert esjs(*whole) == 0.25936556631921465
         assert esjs(*whole) == pytest.approx(segment_esjs_oracle(*whole), rel=1e-15)
+
+    def test_a_range_past_the_largest_float_stays_finite(self):
+        # the one cell is 3.4e308 wide, past the largest float; half of it is not
+        both = empirical_survival(SortedSample.from_data([-1.7e308, 1.7e308]))
+        assert esjs(both, both) == 0.0
+        p, q = SortedSample.from_data([-1.7e308]), SortedSample.from_data([1.7e308])
+        want = 1.7e308 * math.log(2.0)  # width times log(2) / 2
+        assert esjs(empirical_survival(p), empirical_survival(q)) == pytest.approx(want, rel=1e-15)
+        # over several chunks, halved ends are the halved samples' ends: the
+        # sum is twice theirs, bit for bit, and a bootstrap replicate's too
+        rng = np.random.default_rng(5)
+        p, q = (SortedSample.from_data(rng.uniform(-1.0, 1.0, 20_000) * 1.7e308) for _ in range(2))
+        halves = SortedSample(p.values * 0.5), SortedSample(q.values * 0.5)
+        want = 2.0 * esjs(*(empirical_survival(s) for s in halves))
+        assert math.isfinite(want)
+        assert esjs(empirical_survival(p), empirical_survival(q)) == want
+        pooled, p_pos, q_pos = _pool(p, q)
+        assert _esjs_of_positions(pooled, p_pos, q_pos, None, _Workspace()) == want
 
     def test_peak_memory_is_the_grid_union(self):
         # the survivals are evaluated a chunk at a time, so no grid-long level
@@ -248,22 +266,9 @@ class TestEsjsDistance:
 
 
 class TestEsjsFactor:
-    def test_equal_scores(self):
-        factor = esjs_factor(0.25, 0.25)
-        assert factor.ratio == 1.0
-        assert factor.numerator_esjs == factor.denominator_esjs == 0.25
-
-    def test_ratio_arithmetic(self):
-        factor = esjs_factor(0.1947, 0.0002)
-        assert factor.ratio == pytest.approx(973.5)
-
-    def test_degenerate_champion(self):
-        with pytest.raises(ValueError, match="degenerate perfect fit"):
-            esjs_factor(0.1, 0.0)
-
     def test_negative_scores_rejected(self):
-        with pytest.raises(ValueError):
-            esjs_factor(-0.1, 0.2)
+        with pytest.raises(ValueError, match="nonnegative"):
+            EsjsFactor(-0.1 / 0.2, -0.1, 0.2)
 
 
 class TestAffineBehaviour:

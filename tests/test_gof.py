@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from esjs import (
     BootstrapConfig,
+    EsjsFactor,
     Family,
     ParametricModel,
     SortedSample,
@@ -255,6 +256,13 @@ class TestSimulateExperiment:
         assert report.factor.ratio > 1.0
         best_row = min(report.rows, key=lambda r: r.esjs)
         assert best_row.family is report.best
+
+    def test_factor_is_challenger_over_champion(self):
+        config = BootstrapConfig(resamples=5, seed=99)
+        report = simulate_experiment(NORMAL01, [Family.NORMAL, Family.UNIFORM], 2_000, config)
+        score = {row.family: row.esjs for row in report.rows}
+        champion, challenger = score[report.best], score[report.challenger]
+        assert report.factor == EsjsFactor(challenger / champion, challenger, champion)
 
     def test_single_hypothesis_flag(self):
         config = BootstrapConfig(resamples=5, seed=4)

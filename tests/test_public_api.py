@@ -75,3 +75,21 @@ def test_each_public_name_has_a_caller():
     # a name leaves the list once the library calls it
     assert TEST_REFERENCES <= public
     assert TEST_REFERENCES & used == set()
+
+
+def _unread_imports(path: pathlib.Path) -> set[str]:
+    """Names that ``path`` imports, anywhere in it, and never reads."""
+    tree = ast.parse(path.read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (
+            isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        ):
+            imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return imported - read - {"*"}
+
+
+def test_each_imported_name_is_read():
+    unread = {path.name: _unread_imports(path) for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: names for name, names in unread.items() if names} == {}
