@@ -53,11 +53,6 @@ class BootstrapConfig:
         if self.ci_method not in _CI_METHODS:
             raise ValueError(f"ci_method must be one of {_CI_METHODS}")
 
-    @property
-    def method(self) -> str:
-        """The resampling scheme: ``"iid"`` or ``"moving_block"``."""
-        return "iid" if self.block_length is None else "moving_block"
-
 
 @dataclass(frozen=True)
 class ConfidenceInterval:

@@ -350,8 +350,9 @@ def _echo(value):
         return {"family": value.family.value, "params": list(value.params)}
     if isinstance(value, BootstrapConfig):
         return {"resamples": value.resamples, "level": value.level,
-                "resampling": value.method, "block_length": value.block_length,
-                "ci_method": value.ci_method, "seed": value.seed}
+                "resampling": "iid" if value.block_length is None else "moving_block",
+                "block_length": value.block_length, "ci_method": value.ci_method,
+                "seed": value.seed}
     if isinstance(value, list):
         return [_echo(item) for item in value]
     return value
@@ -416,7 +417,7 @@ def _run_compare(args) -> dict:
                               model_sample_size=args.model_sample_size, bins=args.bins,
                               exclude_from_factor=args.exclude_from_factor, workers=args.workers)
     spec = _spec(args, "input", "column", "families", "exclude_from_factor", n=data.n,
-                 model_sample_size=args.model_sample_size or data.n, bins=args.bins,
+                 model_sample_size=report.rows[0].model_sample_size, bins=args.bins,
                  bootstrap=config)
     return {"spec": spec, **_experiment_dict(report)}
 
@@ -428,7 +429,7 @@ def _run_simulate(args) -> dict:
                                  exclude_from_factor=args.exclude_from_factor,
                                  workers=args.workers)
     spec = _spec(args, "given", "hypotheses", "exclude_from_factor", n=args.n,
-                 model_sample_size=args.model_sample_size or args.n, bins=args.bins,
+                 model_sample_size=report.rows[0].model_sample_size, bins=args.bins,
                  bootstrap=config)
     return {"spec": spec, **_experiment_dict(report)}
 

@@ -211,9 +211,10 @@ def fit_mle(family: Family, sample: SortedSample) -> ParametricModel:
     """Maximum-likelihood fit of ``family`` to ``sample``.
 
     Raises :class:`SupportError` when the data violate the family's support
-    (the message is the family name and :func:`support_problem`'s reason)
-    and :class:`ConvergenceError` when an iterative fit fails to reach score
-    norm <= 1e-6, the scale component of the score multiplied by the scale.
+    (the message is the family name and :func:`support_problem`'s reason),
+    :class:`ConvergenceError` when an iterative fit fails to reach score
+    norm <= 1e-6, the scale component of the score multiplied by the scale,
+    and ``OverflowError`` when a parameter in the data's units passes float64.
     Fit and check run in units of 2^e: e puts max |x| in [0.5, 1) (where 0
     is outside the support, no further down than keeps min x normal), so
     neither depends on the data's units; messages quote the data's units.
@@ -232,8 +233,11 @@ def fit_mle(family: Family, sample: SortedSample) -> ParametricModel:
         x = np.ldexp(x, -e) if e else x
     params = spec.fit(x)
     shift = [e if i in spec.units else 0 for i in range(len(params))]
-    with np.errstate(over="ignore"):  # ParametricModel rejects a parameter past float64
-        model = ParametricModel(family, np.ldexp(params, shift))
+    with np.errstate(over="ignore"):
+        scaled = np.ldexp(params, shift)
+    if np.isinf(scaled).any():
+        raise OverflowError(f"{family.value} fit overflows float64: parameters {scaled.tolist()}")
+    model = ParametricModel(family, scaled)
     if spec.score is not None:
         score = spec.score(x, *params)
         for i in spec.units:

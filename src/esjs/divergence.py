@@ -14,6 +14,7 @@ an odds-ratio style model-comparison factor.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,20 @@ __all__ = [
 
 #: Cells the kernel evaluates at a time, so that its float buffers stay in cache.
 _CHUNK = 1 << 14
+
+
+class _Workspace(threading.local):
+    """Arrays that bootstrap replicates reuse, one set per thread that runs
+    them, the calling thread included: arrays made for each replicate go back
+    to the system when freed, and the next replicate faults their pages in
+    again.  An array grows only when it is too short."""
+
+    def array(self, name: str, size: int, dtype=np.float64) -> np.ndarray:
+        arrays = vars(self)  # a threading.local keeps one such dict per thread
+        if name not in arrays or arrays[name].size < size:
+            arrays.pop(name, None)  # the old array goes before the new one is made
+            arrays[name] = np.empty(size, dtype)
+        return arrays[name][:size]
 
 
 def _integrand(pv: np.ndarray, qv: np.ndarray, out: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -57,47 +72,47 @@ def esjs(p: StepSurvival, q: StepSurvival) -> float:
     """Exact divergence between two step survival functions.
 
     Nonnegative, symmetric, zero iff the inputs agree pointwise, and carries
-    the units of the observations.  Returns ``inf`` if the integrand is
-    nonzero on the unbounded right tail, as when ``bounds`` of a binned
-    survival cut a sample so that its tail stays above 0.
+    the units of the observations.  Returns ``inf`` if the last levels differ,
+    so that the integrand is nonzero on the unbounded right tail, as when
+    ``bounds`` of a binned survival cut a sample so that its tail stays above 0.
     """
-    grid = np.union1d(p.breakpoints, q.breakpoints)
-    out, t = np.empty(min(grid.size, _CHUNK)), np.empty(min(grid.size, _CHUNK))
-    # each evaluation is a new array, so _integrand may write over it; a chunk's
-    # cells are read before _step_sum writes their products over them, and the
-    # last grid point, the tail's, it never writes
-    if float(_integrand(p(grid[-1:]), q(grid[-1:]), out[:1], t[:1])[0]) != 0.0:
+    if p.values[-1] != q.values[-1]:
         return math.inf
-    return _step_sum(grid, lambda lo, hi: (p(grid[lo:hi]), q(grid[lo:hi])), out, t)
+    grid = np.union1d(p.breakpoints, q.breakpoints)
+    # each evaluation is a new array, read before _step_sum writes over grid[lo:hi]
+    return _step_sum(grid, lambda lo, hi, pv, qv: (p(grid[lo:hi]), q(grid[lo:hi])), _Workspace())
 
 
-def _step_sum(grid: np.ndarray, fill, out: np.ndarray, t: np.ndarray) -> float:
+def _step_sum(grid: np.ndarray, fill, ws: _Workspace) -> float:
     """Exact integral of the integrand of two step functions over ``grid``.
 
     The functions take P and Q on ``[grid[k], grid[k+1])``, non-increasing
     in ``k``; the caller has checked that the integrand is 0 outside the
-    grid.  The cells go in chunks of at most ``_CHUNK``: ``fill(lo, hi)``
-    returns P and Q on cells ``lo`` to ``hi - 1`` as two float64 arrays that
-    :func:`_integrand` may overwrite (``pv`` is, ``qv`` is not), and may read
-    ``grid[lo:hi]``, which no product has overwritten yet; ``out``
-    and ``t`` are its scratch, at least as long as a chunk.  Each cell's
-    width times its integrand is written over ``grid[k]`` once the chunk's
-    widths have read ``grid[k + 1]``, and one sum over those products gives
-    the result, so ``grid`` is spent; it may not overlap any other buffer.
+    grid.  The cells go in chunks of at most ``_CHUNK``, and the four chunk
+    buffers, ``pv``, ``qv``, ``out`` and ``t``, are ``ws``'s.  ``fill(lo, hi,
+    pv, qv)`` returns P and Q on cells ``lo`` to ``hi - 1``: the two buffers,
+    ``hi - lo`` long, written, or two new float64 arrays.  :func:`_integrand`
+    overwrites the first and only reads the second.  ``fill`` may read
+    ``grid[lo:hi]``, which no product has overwritten yet.  Each cell's width
+    times its integrand is written over ``grid[k]`` once the chunk's widths
+    have read ``grid[k + 1]``, and one sum over those products gives the
+    result, so ``grid`` is spent; it may not overlap any other buffer.
     """
     n = grid.size - 1
+    pv, qv, out, t = (ws.array(name, min(n, _CHUNK)) for name in ("pv", "qv", "out", "t"))
     # a range past the largest float (in Python floats: numpy warns) takes
     # half-widths, its ends halved before they are subtracted, and a doubled sum
     half = math.isinf(float(grid[n]) - float(grid[0]))
     for lo in range(0, n, _CHUNK):
         hi = min(lo + _CHUNK, n)
-        integrand = _integrand(*fill(lo, hi), out[: hi - lo], t[: hi - lo])
+        size = hi - lo
+        integrand = _integrand(*fill(lo, hi, pv[:size], qv[:size]), out[:size], t[:size])
         # t is free again; grid[hi] is read here, before the next chunk writes it
         if half:  # fill has read grid[lo:hi], so it may be halved in place
-            widths = np.multiply(grid[lo + 1 : hi + 1], 0.5, out=t[: hi - lo])
+            widths = np.multiply(grid[lo + 1 : hi + 1], 0.5, out=t[:size])
             widths -= np.multiply(grid[lo:hi], 0.5, out=grid[lo:hi])
         else:
-            widths = np.subtract(grid[lo + 1 : hi + 1], grid[lo:hi], out=t[: hi - lo])
+            widths = np.subtract(grid[lo + 1 : hi + 1], grid[lo:hi], out=t[:size])
         np.multiply(widths, integrand, out=grid[lo:hi])
     return float(np.sum(grid[:n])) * (2.0 if half else 1.0) + 0.0
 

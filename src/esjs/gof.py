@@ -9,7 +9,6 @@ survival of the data; smaller is better and 0 means indistinguishable.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -17,7 +16,7 @@ import numpy as np
 from .bootstrap import BootstrapConfig, ConfidenceInterval, bootstrap_ci
 from .distributions import ConvergenceError, Family, ParametricModel, fit_mle, sample_from
 from .distributions import support_problem
-from .divergence import _CHUNK, EsjsFactor, _step_sum, esjs
+from .divergence import EsjsFactor, _step_sum, _Workspace, esjs
 from .seeds import derive_seed
 from .survival import SortedSample, _snap_up, empirical_survival, km_binned_survival
 
@@ -41,16 +40,13 @@ class FitReport:
     params: tuple[float, ...]
     esjs: float
     ci: ConfidenceInterval
-    n: int
     model_sample_size: int
-    seed: int
 
 
 @dataclass(frozen=True)
 class ExperimentReport:
     """Scores for every hypothesis family against one data set."""
 
-    given: ParametricModel | None
     rows: tuple[FitReport, ...]
     skipped: tuple[tuple[Family, str], ...]
     best: Family
@@ -91,20 +87,6 @@ def _pool(p: SortedSample, q: SortedSample) -> tuple[np.ndarray, np.ndarray, np.
     return values[new], positions[: p.n], positions[p.n :]
 
 
-class _Workspace(threading.local):
-    """Arrays that bootstrap replicates reuse, one set per thread that runs
-    them, the calling thread included: arrays made for each replicate go back
-    to the system when freed, and the next replicate faults their pages in
-    again.  An array grows only when it is too short."""
-
-    def array(self, name: str, size: int, dtype=np.float64) -> np.ndarray:
-        arrays = vars(self)  # a threading.local keeps one such dict per thread
-        if name not in arrays or arrays[name].size < size:
-            arrays.pop(name, None)  # the old array goes before the new one is made
-            arrays[name] = np.empty(size, dtype)
-        return arrays[name][:size]
-
-
 def _esjs_of_positions(
     x: np.ndarray, p_pos: np.ndarray, q_pos: np.ndarray, bins: int | None, ws: _Workspace
 ) -> float:
@@ -114,8 +96,8 @@ def _esjs_of_positions(
     the samples: the occupied values are the kernel's grid (or, binned, they
     snap to it), and one running count gives both survivals on it.  No sort
     and no survival is built, which is what makes a bootstrap replicate cheap.
-    Each array as long as ``x`` or the grid is one of ``ws``'s, and so is each
-    float buffer of the kernel, which is no longer than ``_CHUNK``.
+    Each array as long as ``x`` or the grid is one of ``ws``'s, where the
+    kernel finds its chunk buffers too.
     """
     # One packed count per pooled value: p's draws in the low 32 bits, q's in
     # the high 32 bits (sizes stay below 2^31).  Memory is what limits a
@@ -137,20 +119,19 @@ def _esjs_of_positions(
         # the replicate's own range, as _esjs_between takes it
         grid, ends = _snap_up(grid, grid[0], grid[-1], bins)
         levels = np.take(levels, ends, out=counts[: ends.size], mode="clip")
-    n_p, n_q, size = p_pos.size, q_pos.size, min(grid.size, _CHUNK)
-    pv, qv = ws.array("pv", size), ws.array("qv", size)
+    n_p, n_q = p_pos.size, q_pos.size
 
-    def fill(lo, hi):
+    def fill(lo, hi, pv, qv):
         # p's counts are the low halves of the levels, q's the high ones; a
         # chunk of levels is spent once both are read
         chunk = levels[lo:hi]
-        low = np.bitwise_and(chunk, 0xFFFFFFFF, out=qv[: hi - lo].view(np.int64))
-        np.divide(np.subtract(n_p, low, out=low), n_p, out=pv[: hi - lo])
+        low = np.bitwise_and(chunk, 0xFFFFFFFF, out=qv.view(np.int64))
+        np.divide(np.subtract(n_p, low, out=low), n_p, out=pv)
         chunk >>= 32
-        np.divide(np.subtract(n_q, chunk, out=chunk), n_q, out=qv[: hi - lo])
-        return pv[: hi - lo], qv[: hi - lo]
+        np.divide(np.subtract(n_q, chunk, out=chunk), n_q, out=qv)
+        return pv, qv
 
-    return _step_sum(grid, fill, ws.array("out", size), ws.array("t", size))
+    return _step_sum(grid, fill, ws)
 
 
 def fit_report(
@@ -188,9 +169,7 @@ def fit_report(
         params=model.params,
         esjs=score,
         ci=ci,
-        n=data.n,
         model_sample_size=size,
-        seed=model_seed,
     )
 
 
@@ -205,12 +184,14 @@ def compare_families(
 ) -> ExperimentReport:
     """Score every support-compatible family and rank by divergence.
 
-    Support-incompatible families and families whose fit does not converge
-    are reported as skipped with a reason; if no family is left after a fit
-    failed, the first ``ConvergenceError`` is raised.  The factor compares the
-    designated challenger (by default the second best, optionally restricted
-    by ``exclude_from_factor``) to the best; when the best scores 0 there is
-    no challenger and the factor is 1.  A family given twice raises ``ValueError``.
+    Support-incompatible families and families whose fit, model sample or
+    score fails numerically (``ConvergenceError`` or ``ArithmeticError``: no
+    convergence, or a value past float64) are skipped with a reason; if no
+    family is left after such a failure, the first is raised.  The factor
+    compares the designated challenger (by default the second best, optionally
+    restricted by ``exclude_from_factor``) to the best; when the best scores 0
+    there is no challenger and the factor is 1.  A family given twice raises
+    ``ValueError``.
     """
     families = list(families)
     if not families:
@@ -220,7 +201,7 @@ def compare_families(
     excluded = set(exclude_from_factor)
     rows: list[FitReport] = []
     skipped: list[tuple[Family, str]] = []
-    failures: list[ConvergenceError] = []
+    failures: list[Exception] = []
     for family in families:
         reason = support_problem(family, data)
         if reason is not None:
@@ -228,7 +209,7 @@ def compare_families(
             continue
         try:
             rows.append(fit_report(data, family, config, model_sample_size, bins, workers=workers))
-        except ConvergenceError as exc:
+        except (ConvergenceError, ArithmeticError) as exc:
             skipped.append((family, str(exc)))
             failures.append(exc)
     if not rows and failures:
@@ -251,7 +232,6 @@ def compare_families(
         challenger = chall.family
         note = None
     return ExperimentReport(
-        given=None,
         rows=tuple(rows),
         skipped=tuple(skipped),
         best=best.family,
@@ -281,16 +261,8 @@ def simulate_experiment(
     if n < 2:
         raise ValueError("simulated experiments need n >= 2")
     data = sample_from(given, n, derive_seed(config.seed, "data"))
-    report = compare_families(
-        data,
-        hypotheses,
-        config,
-        model_sample_size=n if model_sample_size is None else model_sample_size,
-        bins=bins,
-        exclude_from_factor=exclude_from_factor,
-        workers=workers,
-    )
-    return replace(report, given=given)
+    return compare_families(data, hypotheses, config, model_sample_size, bins,
+                            exclude_from_factor=exclude_from_factor, workers=workers)
 
 
 def scaling_experiment(given: ParametricModel, sizes, seed: int) -> list[ScalingRow]:

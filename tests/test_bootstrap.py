@@ -210,7 +210,6 @@ class TestBootstrapCi:
         data = (np.arange(37, dtype=np.int32), np.random.default_rng(3).normal(size=20))
         iid = BootstrapConfig(resamples=30, seed=5)
         unit_blocks = BootstrapConfig(resamples=30, seed=5, block_length=1)
-        assert (iid.method, unit_blocks.method) == ("iid", "moving_block")
 
         def statistic(a, b):
             return float(np.sum(a * np.arange(1, 38)) + np.sum(b * np.arange(1, 21)))

@@ -565,6 +565,27 @@ class TestNumericalEdgeCases:
         assert proc.stderr.count("\n") == 1
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("other", ["qgaussian", "uniform"])
+    def test_a_family_past_float64_is_skipped(self, tmp_path, capsys, other):
+        # qgaussian's fitted width overflows on the way back to the data's units,
+        # and uniform's model sample spans more than the largest float
+        path = write(tmp_path, "a.csv", "v\n-1.7e308\n1.7e308\n")
+        argv = ["compare", "--raw", "--input", path, "--families", f"normal,{other}",
+                "--seed", "1", "--bootstrap", "5"]
+        assert run(argv) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert [row["family"] for row in report["rows"]] == ["normal"]
+        assert [item["family"] for item in report["skipped"]] == [other]
+
+    def test_with_no_family_left_an_overflow_is_a_numerical_failure(self, tmp_path, capsys):
+        path = write(tmp_path, "a.csv", "v\n-1.7e308\n1.7e308\n")
+        for argv in (["compare", "--families", "qgaussian,uniform"],
+                     ["fit", "--family", "qgaussian"]):
+            assert run([*argv, "--raw", "--input", path, "--seed", "1", "--bootstrap", "5"]) == 3
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.startswith("esjs: numerical failure: qgaussian fit overflows float64")
+
 
 class TestEntrypoint:
     def test_closed_stdout_ends_quietly(self, tmp_path):

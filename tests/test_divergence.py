@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from esjs import (
     EsjsFactor,
     SortedSample,
+    StepSurvival,
     empirical_survival,
     esjs,
     esjs_spacings,
@@ -16,8 +17,8 @@ from esjs import (
     survival_entropy,
 )
 
-from esjs.divergence import _CHUNK, _step_sum
-from esjs.gof import _Workspace, _esjs_between, _esjs_of_positions, _pool
+from esjs.divergence import _CHUNK, _step_sum, _Workspace
+from esjs.gof import _esjs_between, _esjs_of_positions, _pool
 
 from conftest import random_sample, segment_esjs_oracle
 
@@ -81,6 +82,23 @@ class TestEsjs:
         assert esjs(*whole) == 0.25936556631921465
         assert esjs(*whole) == pytest.approx(segment_esjs_oracle(*whole), rel=1e-15)
 
+    def test_equal_last_levels_above_zero_give_a_finite_score(self):
+        # the integrand is 0 on the unbounded tail wherever both levels agree
+        rng = np.random.default_rng(6)
+
+        def step(tail):
+            breakpoints = np.unique(rng.uniform(0.0, 10.0, int(rng.integers(1, 60))))
+            values = np.sort(rng.uniform(tail, 1.0, breakpoints.size))[::-1]
+            values[-1] = tail
+            return StepSurvival(breakpoints, values)
+
+        for _ in range(20):
+            tail = rng.uniform(0.05, 0.9)
+            p, q = step(tail), step(tail)
+            assert math.isfinite(esjs(p, q))
+            assert esjs(p, q) == pytest.approx(segment_esjs_oracle(p, q), rel=1e-12)
+            assert esjs(p, step(tail / 2)) == math.inf
+
     def test_a_range_past_the_largest_float_stays_finite(self):
         # the one cell is 3.4e308 wide, past the largest float; half of it is not
         both = empirical_survival(SortedSample.from_data([-1.7e308, 1.7e308]))
@@ -131,27 +149,35 @@ def _cell_products(grid, pv, qv):
 
 class TestStepSum:
     def test_writes_the_products_over_grid_and_reads_qv_only(self):
-        # grid[k] ends as cell k's width times its integrand; q's levels, which
-        # the caller's fill hands out, are read only
+        # fill gets each chunk's P and Q buffers from the workspace, in order;
+        # grid[k] ends as cell k's width times its integrand, and qv is read only
         rng = np.random.default_rng(8)
         p, q = (empirical_survival(random_sample(rng, 30_000, 30_000)) for _ in range(2))
         grid = np.union1d(p.breakpoints, q.breakpoints)
         n = grid.size - 1
         assert n > 2 * _CHUNK
         pv, qv = p(grid), q(grid)
-        grid0, pv0, qv0 = grid.copy(), pv.copy(), qv.copy()
-        calls = []
+        grid0 = grid.copy()
+        ws, calls = _Workspace(), []
 
-        def fill(lo, hi):
-            calls.append((lo, hi))
-            return pv[lo:hi], qv[lo:hi]
+        def fill(lo, hi, pv_buf, qv_buf):
+            if calls:  # the buffer still holds the q levels the last fill wrote
+                np.testing.assert_array_equal(qv_buf, qv[calls[-1][0] :][: qv_buf.size])
+            calls.append((lo, hi, pv_buf.size, qv_buf.size))
+            pv_buf[:], qv_buf[:] = pv[lo:hi], qv[lo:hi]
+            return pv_buf, qv_buf
 
-        got = _step_sum(grid, fill, np.empty(_CHUNK), np.empty(_CHUNK))
-        assert calls == [(lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK)]
+        got = _step_sum(grid, fill, ws)
+        assert calls == [
+            (lo, hi, hi - lo, hi - lo)
+            for lo in range(0, n, _CHUNK)
+            for hi in [min(lo + _CHUNK, n)]
+        ]
         assert got == esjs(p, q)
-        np.testing.assert_array_equal(grid[:n], _cell_products(grid0, pv0, qv0))
+        np.testing.assert_array_equal(grid[:n], _cell_products(grid0, pv, qv))
         assert grid[n] == grid0[n]
-        np.testing.assert_array_equal(qv, qv0)
+        last = calls[-1][0]
+        np.testing.assert_array_equal(ws.array("qv", n - last), qv[last:n])
 
 
 def _samples_on(cells, p_end, binned, seed):

@@ -93,3 +93,11 @@ def _unread_imports(path: pathlib.Path) -> set[str]:
 def test_each_imported_name_is_read():
     unread = {path.name: _unread_imports(path) for path in sorted(PACKAGE.glob("*.py"))}
     assert {name: names for name, names in unread.items() if names} == {}
+
+
+def test_the_kernel_alone_sizes_its_chunks():
+    # callers hand the kernel a workspace, and it takes its chunk buffers from there
+    modules = _modules()
+    readers = [m.__name__ for m in modules if "_CHUNK" in _names_used(pathlib.Path(m.__file__))]
+    owners = [m.__name__ for m in modules if "_Workspace" in _top_level_definitions(m)]
+    assert readers == owners == ["esjs.divergence"]
