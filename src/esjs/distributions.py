@@ -191,11 +191,13 @@ def sample_from(model: ParametricModel, n: int, seed: int) -> SortedSample:
     if seed < 0:
         raise ValueError("seed must be a non-negative integer")
     rng = np.random.default_rng(int(seed))
-    draws = np.sort(_FAMILIES[model.family].draw(rng, n, *model.params))
+    overflow = f"{model.family.value} draws overflow float64 at parameters {model.params}"
+    try:
+        draws = np.sort(_FAMILIES[model.family].draw(rng, n, *model.params))
+    except OverflowError:  # numpy's uniform rejects a range past float64
+        raise OverflowError(overflow) from None
     if not (math.isfinite(draws[0]) and math.isfinite(draws[-1])):
-        raise OverflowError(
-            f"{model.family.value} draws overflow float64 at parameters {model.params}"
-        )
+        raise OverflowError(overflow)
     return SortedSample(draws)
 
 

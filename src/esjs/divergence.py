@@ -19,12 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .survival import SortedSample, StepSurvival, survival_entropy
+from .survival import StepSurvival
 
 __all__ = [
     "EsjsFactor",
     "esjs",
-    "esjs_spacings",
 ]
 
 
@@ -115,32 +114,6 @@ def _step_sum(grid: np.ndarray, fill, ws: _Workspace) -> float:
             widths = np.subtract(grid[lo + 1 : hi + 1], grid[lo:hi], out=t[:size])
         np.multiply(widths, integrand, out=grid[lo:hi])
     return float(np.sum(grid[:n])) * (2.0 if half else 1.0) + 0.0
-
-
-def esjs_spacings(p_sample: SortedSample, q_sample: SortedSample) -> float:
-    """Order-statistics form of the divergence for equal-size samples.
-
-    Interleaving the two samples produces the mixture sample: its empirical
-    survival is exactly the half/half mixture of the input survivals.  The
-    divergence is then the entropy combination
-
-        E(mixture) - E(p)/2 - E(q)/2,
-
-    each entropy evaluated through its spacings, which agrees with
-    :func:`esjs` on the corresponding empirical survivals up to rounding.
-    """
-    if p_sample.n != q_sample.n:
-        raise ValueError("spacings form requires equal sizes; use esjs")
-    if p_sample.n < 2:
-        raise ValueError("spacings form requires n >= 2")
-    pooled = SortedSample(
-        np.sort(np.concatenate([p_sample.values, q_sample.values]))
-    )
-    return (
-        survival_entropy(pooled)
-        - 0.5 * survival_entropy(p_sample)
-        - 0.5 * survival_entropy(q_sample)
-    )
 
 
 @dataclass(frozen=True)

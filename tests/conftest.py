@@ -70,6 +70,33 @@ def step_integral_of_neg_slogs(surv) -> float:
     return float(-np.sum(widths[mask] * vals[mask] * np.log(vals[mask])))
 
 
+def _survival_entropy(values: np.ndarray) -> np.longdouble:
+    # -integral S log S dx: S is 1 - i/n between order statistics i and i+1
+    x = values.astype(np.longdouble)
+    level = 1 - np.arange(1, x.size, dtype=np.longdouble) / x.size
+    return -np.sum(np.diff(x) * level * np.log(level))
+
+
+def esjs_spacings(p: SortedSample, q: SortedSample) -> float:
+    """Independent oracle: the order-statistics (spacings) form of the divergence.
+
+    Interleaving two samples of equal size gives the mixture sample, whose
+    empirical survival is the half/half mixture of theirs, so the divergence
+    of their empirical survivals is E(pooled) - E(p)/2 - E(q)/2 with E the
+    entropy :func:`_survival_entropy`.  The three entropies cancel, so they
+    are evaluated in ``np.longdouble`` (80-bit on x86-64): on a near-perfect
+    fit (esjs about 7e-6) the float64 form is off by 3e-11 relative, the
+    kernel it checks by 5e-13 and this form by 4e-15.
+    """
+    if p.n != q.n:
+        raise ValueError("spacings form requires equal sizes; use esjs")
+    if p.n < 2:
+        raise ValueError("spacings form requires n >= 2")
+    pooled = np.sort(np.concatenate([p.values, q.values]))
+    e_pooled, e_p, e_q = (_survival_entropy(v) for v in (pooled, p.values, q.values))
+    return float(e_pooled - e_p / 2 - e_q / 2)
+
+
 def segment_esjs_oracle(p, q) -> float:
     """Independent oracle: segment-by-segment evaluation of the divergence."""
     grid = np.union1d(p.breakpoints, q.breakpoints)

@@ -19,7 +19,6 @@ from esjs import (
     bootstrap_ci,
     empirical_survival,
     esjs,
-    esjs_spacings,
     fit_mle,
     moving_block_resample,
     powerlaw_fit,
@@ -30,7 +29,12 @@ from esjs import (
     survival_entropy,
 )
 
-from conftest import random_sample, scipy_log_likelihood, step_integral_of_neg_slogs
+from conftest import (
+    esjs_spacings,
+    random_sample,
+    scipy_log_likelihood,
+    step_integral_of_neg_slogs,
+)
 
 SEEDS = (1, 2, 3, 4, 5)
 DESK_N = 100_000

@@ -147,6 +147,16 @@ class TestSampling:
         c = sample_from(model, 1000, 78)
         assert not np.array_equal(a.values, c.values)
 
+    @pytest.mark.parametrize("model", [
+        ParametricModel(Family.UNIFORM, (-1.7e308, 1.7e308)),  # numpy rejects the range
+        ParametricModel(Family.PARETO, (0.01,)),  # draws past the largest float
+    ], ids=lambda m: m.family.value)
+    def test_draws_past_float64_name_the_family(self, model):
+        want = f"{model.family.value} draws overflow float64 at parameters {model.params}"
+        with pytest.raises(OverflowError) as caught:
+            sample_from(model, 1000, 1)
+        assert str(caught.value) == want
+
     @pytest.mark.parametrize("model", REFERENCE_MODELS, ids=lambda m: m.family.value)
     def test_sampler_matches_survival(self, model):
         # Glivenko-Cantelli: sup distance between empirical and model survival

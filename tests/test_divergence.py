@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
@@ -12,7 +13,6 @@ from esjs import (
     StepSurvival,
     empirical_survival,
     esjs,
-    esjs_spacings,
     km_binned_survival,
     survival_entropy,
 )
@@ -20,7 +20,7 @@ from esjs import (
 from esjs.divergence import _CHUNK, _step_sum, _Workspace
 from esjs.gof import _esjs_between, _esjs_of_positions, _pool
 
-from conftest import random_sample, segment_esjs_oracle
+from conftest import esjs_spacings, random_sample, segment_esjs_oracle
 
 
 def _pair(rng):
@@ -244,19 +244,39 @@ class TestEsjsSpacings:
         sample = SortedSample.from_data([0.3, 1.2, 4.0])
         assert esjs_spacings(sample, sample) == 0.0
 
-    def test_entropy_identity_is_exact(self):
+    def test_library_entropies_give_the_same_form(self):
+        # survival_entropy, in float64, combined as the oracle combines its
+        # long-double entropies
         rng = np.random.default_rng(13)
         for _ in range(100):
             n = int(rng.integers(2, 150))
             p = random_sample(rng, n_min=n, n_max=n)
             q = random_sample(rng, n_min=n, n_max=n)
             pooled = SortedSample(np.sort(np.concatenate([p.values, q.values])))
-            identity = (
+            combined = (
                 survival_entropy(pooled)
                 - 0.5 * survival_entropy(p)
                 - 0.5 * survival_entropy(q)
             )
-            assert esjs_spacings(p, q) == identity
+            want = esjs_spacings(p, q)
+            assert abs(combined - want) <= 1e-12 * abs(want)
+
+    def test_agrees_with_50_digits_on_a_near_perfect_fit(self):
+        # esjs about 7e-6 from entropies near 1.6: five digits cancel
+        x = np.random.default_rng(3).standard_t(3, 2000)
+        p, q = SortedSample.from_data(x), SortedSample.from_data(x * (1 + 1e-3))
+
+        def entropy(values):
+            n = values.size
+            levels = [1 - mpmath.mpf(i) / n for i in range(1, n)]
+            gaps = [mpmath.mpf(b) - mpmath.mpf(a) for a, b in zip(values[:-1], values[1:])]
+            return -mpmath.fsum(g * s * mpmath.log(s) for g, s in zip(gaps, levels))
+
+        with mpmath.workdps(50):
+            pooled = np.sort(np.concatenate([p.values, q.values]))
+            want = entropy(pooled) - entropy(p.values) / 2 - entropy(q.values) / 2
+            gap = abs((esjs_spacings(p, q) - want) / want)
+        assert gap <= 1e-13
 
     def test_agrees_with_exact_integration(self):
         p = SortedSample.from_data([0.0, 2.0])

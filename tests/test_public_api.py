@@ -10,11 +10,13 @@ import esjs
 PACKAGE = pathlib.Path(esjs.__file__).parent
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
-# Public names that nothing in the library calls, kept as references for the
-# tests: esjs_spacings, the paper's order-statistics form, is an independent
-# oracle for the kernel.  Model densities and survivals come from scipy.stats
-# in the tests (conftest.scipy_distribution), not from the library.
-TEST_REFERENCES = {"esjs_spacings"}
+# Public names that nothing in the library calls, kept for their users and
+# checked by the tests: survival_entropy is the paper's entropy of an empirical
+# survival, which acceptance criterion 7 checks and the README lists.  The
+# order-statistics form of the divergence, which combines three such
+# entropies, is a test oracle (conftest.esjs_spacings), and model densities
+# and survivals come from scipy.stats (conftest.scipy_distribution).
+TEST_REFERENCES = {"survival_entropy"}
 
 
 def _modules():
