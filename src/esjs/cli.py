@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv as csv_module
+import gc
 import io
 import json
 import math
@@ -525,6 +526,14 @@ def run(argv=None) -> int:
 
 
 def entrypoint() -> None:
+    """The ``esjs`` process: ``run`` on the command line, with no cyclic collection.
+
+    A run leaves a few hundred cyclic objects however many resamples it
+    draws, so the collector would only walk the heap: during scipy's import,
+    and over every tracked object again at exit.  ``run`` itself leaves the
+    collector as its caller set it.
+    """
+    gc.disable()
     code = 0  # run writes to stdout only once it has succeeded
     try:
         code = run()
@@ -532,6 +541,7 @@ def entrypoint() -> None:
     except BrokenPipeError:
         # the reader has gone; send the interpreter's last flush to /dev/null
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    gc.freeze()  # shutdown's collections then skip every object alive now
     raise SystemExit(code)
 
 

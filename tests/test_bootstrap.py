@@ -1,3 +1,4 @@
+import concurrent.futures
 import os
 import sys
 import threading
@@ -16,7 +17,6 @@ from esjs import (
     percentile_of_replicates,
     replicate_values,
 )
-from esjs import bootstrap
 from esjs.seeds import derive_seed
 
 
@@ -323,7 +323,8 @@ class TestReplicateScheduling:
                 return done
 
         cpus(count)
-        monkeypatch.setattr(bootstrap, "ThreadPoolExecutor", RecordingPool)
+        # replicate_values imports the executor from its module when it starts helpers
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
         config = BootstrapConfig(resamples=50, seed=1)
         got = replicate_values(_positions_statistic, self.data, config, workers=5000)
         assert asked == helpers

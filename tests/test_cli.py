@@ -1,6 +1,7 @@
 import ast
 import contextlib
 import csv
+import gc
 import io
 import json
 import os
@@ -37,10 +38,13 @@ def write(tmp_path, name, text):
     return str(path)
 
 
+#: The directory that holds the esjs package, for fresh interpreters' PYTHONPATH.
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(esjs.gof.__file__)))
+
+
 def run_process(*argv, stdout=subprocess.PIPE):
     """The CLI in a fresh interpreter, as a user runs it."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(esjs.gof.__file__)))
-    env = {**os.environ, "PYTHONPATH": src}
+    env = {**os.environ, "PYTHONPATH": SRC}
     return subprocess.run(
         [sys.executable, "-m", "esjs.cli", *argv],
         stdout=stdout, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
@@ -605,28 +609,88 @@ class TestEntrypoint:
         assert "Traceback" not in proc.stderr
         assert "Exception ignored" not in proc.stderr
 
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_run_leaves_the_collector_as_it_found_it(self, enabled, capsys):
+        # the process turns the collector off; a library caller keeps its own setting
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            frozen = gc.get_freeze_count()
+            assert run(_simulate_argv()) == 0
+            assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen)
+        finally:
+            (gc.enable if was else gc.disable)()
+
+    def test_the_process_prints_what_run_prints(self, tmp_path, capsys):
+        data = sample_from(ParametricModel(Family.Q_GAUSSIAN, (4.0, 1.0)), 400, 11)
+        path = write(tmp_path, "q.csv", "\n".join(map(repr, data.values.tolist())) + "\n")
+        argv = ["compare", "--input", path, "--families", "qgaussian,normal",
+                "--bins", "5000", "--bootstrap", "8", "--seed", "2"]
+        assert run(argv) == 0
+        report = capsys.readouterr().out
+        assert [row["family"] for row in json.loads(report)["rows"]] == ["qgaussian", "normal"]
+        proc = run_process(*argv)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == report
+
+    def test_a_run_leaves_garbage_that_does_not_grow_with_resamples(self, tmp_path):
+        # why the process may run with the collector off: its garbage is bounded
+        data = np.random.default_rng(5).lognormal(0.0, 1.0, 300)
+        path = write(tmp_path, "x.csv", "\n".join(map(repr, data.tolist())) + "\n")
+        proc = subprocess.run(
+            [sys.executable, "-c", _GARBAGE_SCRIPT, path],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": SRC},
+        )
+        assert proc.returncode == 0, proc.stderr
+        few, many = json.loads(proc.stdout)
+        assert many <= few
+
+
+# Runs in a fresh interpreter with the collector off: the objects that
+# gc.collect() finds unreachable after a run of few and of many resamples.
+_GARBAGE_SCRIPT = """
+import contextlib, gc, io, json, sys
+from esjs.cli import run
+
+def garbage(*extra):
+    argv = ["compare", "--input", sys.argv[1], "--families", "lognormal,gamma,qgaussian",
+            "--bins", "5000", "--seed", "3", *extra]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run(argv) == 0
+    return gc.collect()
+
+gc.disable()
+garbage("--bootstrap", "5")  # warm-up: imports scipy, whose import leaves cycles of its own
+print(json.dumps([garbage("--bootstrap", "5"), garbage("--bootstrap", "200", "--workers", "2")]))
+"""
+
 
 # Runs in a fresh interpreter: the pipeline on every family but qgaussian must
-# leave scipy unloaded; a qgaussian fit then loads it and works.
+# leave scipy unloaded; a qgaussian fit then loads it and works.  The thread
+# pool (concurrent.futures) loads only once a second worker starts a helper.
 _STARTUP_SCRIPT = """
-import contextlib, io, json, sys
+import contextlib, io, json, os, sys
 import esjs.cli
 from esjs import Family, ParametricModel, fit_mle, sample_from
 
 def loaded():
     return sorted(m for m in sys.modules if m.startswith("scipy"))
 
+os.cpu_count = lambda: 2  # a helper thread starts only where a second CPU is seen
 out = {"import": loaded()}
 codes = []
 with contextlib.redirect_stdout(io.StringIO()):
     codes.append(esjs.cli.run([
-        "simulate", "--given", "gamma:2,2", "--hypotheses", "gamma,weibull,lognormal,normal",
-        "--n", "2000", "--bootstrap", "5", "--seed", "3",
-    ]))
-    codes.append(esjs.cli.run([
         "compare", "--input", sys.argv[1], "--bootstrap", "5", "--seed", "3", "--families",
-        "normal,uniform,lognormal,gamma,weibull,beta,exponential,pareto",
+        "normal,uniform,lognormal,gamma,weibull,beta,exponential,pareto", "--workers", "1",
     ]))
+    out["pool_after_one_worker"] = "concurrent.futures" in sys.modules
+    codes.append(esjs.cli.run([
+        "simulate", "--given", "gamma:2,2", "--hypotheses", "gamma,weibull,lognormal,normal",
+        "--n", "2000", "--bootstrap", "5", "--seed", "3", "--workers", "2",
+    ]))
+    out["pool_after_two_workers"] = "concurrent.futures" in sys.modules
 out["codes"], out["pipeline"] = codes, loaded()
 sample = sample_from(ParametricModel(Family.Q_GAUSSIAN, (4.0, 1.0)), 400, 11)
 out["qgaussian"] = fit_mle(Family.Q_GAUSSIAN, sample).params
@@ -664,17 +728,18 @@ class TestStartUp:
         # beta needs data in (0, 1); pareto (data >= 1) is skipped with its reason
         data = np.random.default_rng(5).beta(2.0, 3.0, 300)
         path = write(tmp_path, "x.csv", "\n".join(map(repr, data.tolist())) + "\n")
-        src = os.path.dirname(os.path.dirname(os.path.abspath(esjs.gof.__file__)))
         proc = subprocess.run(
             [sys.executable, "-c", _STARTUP_SCRIPT, path],
             capture_output=True, text=True, timeout=120,
-            env={**os.environ, "PYTHONPATH": src},
+            env={**os.environ, "PYTHONPATH": SRC},
         )
         assert proc.returncode == 0, proc.stderr
         out = json.loads(proc.stdout)
         assert out["import"] == []
         assert out["codes"] == [0, 0]
         assert out["pipeline"] == []
+        assert not out["pool_after_one_worker"]
+        assert out["pool_after_two_workers"]
         # the fit scipy's gamma functions and L-BFGS-B gave before they loaded lazily
         assert out["qgaussian"] == [3.5747095559318813, 0.9479306350708966]
         assert "scipy.special" in out["after"]
