@@ -26,10 +26,13 @@ with tail exponent t > 1 and width w > 0; it is a rescaled Student-t with
 t - 1 degrees of freedom, centred at zero.
 
 Closed-form maximum likelihood is used where available (normal, uniform,
-lognormal, exponential, pareto); gamma, weibull, beta and qgaussian are
-fitted by Newton iteration on the analytic score and must finish with score
-norm <= 1e-6, the scale component (gamma and weibull scale, qgaussian width)
-multiplied by its parameter; that check is the only convergence verdict.
+lognormal, exponential, pareto).  One Newton solver solves the profile shape
+equation of gamma and weibull and both score equations of beta; qgaussian
+runs L-BFGS-B from its best-ranked starts, then a Newton polish.  All four
+must end with score norm <= 1e-6, the scale component (gamma and weibull
+scale, qgaussian width) times its parameter: the only convergence verdict.
+A fit that needs a spread rejects a constant sample (ValueError); distinct
+values whose spread rounds to 0 in float64 raise ConvergenceError.
 Fits run in units of 2^e: data whose family's parameters carry their units
 are divided by the power of two that puts max |x| in [0.5, 1) (exact unless
 a value goes subnormal), fitted and checked there, and those parameters
@@ -101,7 +104,7 @@ class SupportError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """Iterative likelihood maximisation failed to converge."""
+    """A fit failed numerically: no convergence, or data float64 cannot resolve."""
 
 
 class Family(enum.Enum):
@@ -214,12 +217,11 @@ def fit_mle(family: Family, sample: SortedSample) -> ParametricModel:
 
     Raises :class:`SupportError` when the data violate the family's support
     (the message is the family name and :func:`support_problem`'s reason),
-    :class:`ConvergenceError` when an iterative fit fails to reach score
-    norm <= 1e-6, the scale component of the score multiplied by the scale,
-    and ``OverflowError`` when a parameter in the data's units passes float64.
-    Fit and check run in units of 2^e: e puts max |x| in [0.5, 1) (where 0
-    is outside the support, no further down than keeps min x normal), so
-    neither depends on the data's units; messages quote the data's units.
+    :class:`ConvergenceError` when an iterative fit ends with score norm
+    above 1e-6 or float64 cannot resolve the data's spread, and
+    ``OverflowError`` when a parameter in the data's units passes float64.
+    Fit and check run in units of 2^e, as above (where 0 is outside the support,
+    no further down than keeps min x normal); messages quote the data's units.
     """
     reason = support_problem(family, sample)
     if reason is not None:
@@ -239,18 +241,15 @@ def fit_mle(family: Family, sample: SortedSample) -> ParametricModel:
         scaled = np.ldexp(params, shift)
     if np.isinf(scaled).any():
         raise OverflowError(f"{family.value} fit overflows float64: parameters {scaled.tolist()}")
-    model = ParametricModel(family, scaled)
-    if spec.score is not None:
+    if spec.score is not None:  # before the model checks its parameters: they may be nan
         score = spec.score(x, *params)
         for i in spec.units:
             score[i] *= params[i]
         norm = float(np.linalg.norm(score))
         if not norm <= _SCORE_TOL:
-            raise ConvergenceError(
-                f"{family.value} fit: score norm {norm:.3g} exceeds {_SCORE_TOL:g} "
-                f"at parameters {model.params}"
-            )
-    return model
+            raise ConvergenceError(f"{family.value} fit: score norm {norm:.3g} exceeds "
+                                   f"{_SCORE_TOL:g} at parameters {tuple(scaled.tolist())}")
+    return ParametricModel(family, scaled)
 
 
 def _gamma_score(x: np.ndarray, k: float, tau: float) -> np.ndarray:
@@ -278,19 +277,25 @@ def _beta_score(x: np.ndarray, a: float, b: float) -> np.ndarray:
     return np.array([g_a, g_b])
 
 
-def _fit_normal(x: np.ndarray, family: str = "normal") -> tuple[float, float]:
-    # lognormal is this fit to log x
-    mu = float(x.mean())
-    sd = float(np.sqrt(np.mean((x - mu) ** 2)))
-    if sd == 0:
+def _spread(family: str, x: np.ndarray, value: float) -> float:
+    """``value``, the spread that ``family``'s fit to the sorted ``x`` divides by, if > 0:
+    else a constant ``x`` is a data error, and distinct values a numerical failure."""
+    if value > 0:
+        return value
+    if x[0] == x[-1]:
         raise ValueError(f"{family} fit requires a non-constant sample")
-    return mu, sd
+    raise ConvergenceError(f"{family} fit: float64 cannot resolve the spread of the data")
+
+
+def _fit_normal(family: str, x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    # the normal fit to y: the data x (normal) or log x (lognormal)
+    mu = float(y.mean())
+    return mu, _spread(family, x, float(np.sqrt(np.mean((y - mu) ** 2))))
 
 
 def _fit_uniform(x: np.ndarray) -> tuple[float, float]:
     lo, hi = float(x[0]), float(x[-1])
-    if not lo < hi:
-        raise ValueError("uniform fit requires a non-constant sample")
+    _spread("uniform", x, hi - lo)
     return lo, hi
 
 
@@ -308,38 +313,41 @@ def _fit_pareto(x: np.ndarray) -> tuple[float]:
     return (x.size / slog,)
 
 
-def _solve_shape(family: str, k: float, f_and_fprime) -> float:
-    """Newton from ``k`` on the shape equation f(k) = 0, kept to k > 0."""
+def _newton(x: tuple[float, ...], step) -> tuple[float, ...]:
+    """Newton from ``x``, each step halved until every parameter stays > 0.
+
+    ``step(*x)`` returns the residual and a function that solves for the step,
+    called only past residual 1e-13 (at a root the system may be singular).
+    A step of at most 1e-15 max(1, |x|) is the last, and so is step ``_MAX_ITER``.
+    """
     for _ in range(_MAX_ITER):
-        f, fp = f_and_fprime(k)
-        if abs(f) <= 1e-13:
-            return k
-        step = f / fp
-        while k - step <= 0:
-            step *= 0.5
-        k_next = k - step
-        if abs(k_next - k) <= 1e-15 * max(1.0, abs(k)):
-            return k_next
-        k = k_next
-    raise ConvergenceError(f"{family} shape iteration did not converge after {_MAX_ITER} "
-                           f"iterations (shape={k:.6g}, residual={f:.3g})")
+        residual, solve = step(*x)
+        if residual <= 1e-13:
+            break
+        d = solve()
+        while any(xi + di <= 0 for xi, di in zip(x, d)):
+            d = [0.5 * di for di in d]
+        last, x = x, tuple(xi + di for xi, di in zip(x, d))
+        if max(abs(u - v) for u, v in zip(x, last)) <= 1e-15 * max(1.0, *map(abs, last)):
+            break
+    return x
 
 
 def _fit_gamma(x: np.ndarray) -> tuple[float, float]:
     mean = float(x.mean())
-    s = math.log(mean) - float(np.log(x).mean())
-    if not s > 0:
-        raise ValueError("gamma fit requires a non-constant sample")
-    # log-moment initialisation, then Newton on log k - digamma(k) = s
-    k = (3.0 - s + math.sqrt((s - 3.0) ** 2 + 24.0 * s)) / (12.0 * s)
-    k = _solve_shape("gamma", k, lambda k: (math.log(k) - _digamma(k) - s, 1.0 / k - _trigamma(k)))
+    s = _spread("gamma", x, math.log(mean) - float(np.log(x).mean()))
+
+    def step(k):  # Newton on log k - digamma(k) = s
+        f = math.log(k) - _digamma(k) - s
+        return abs(f), lambda: (-f / (1.0 / k - _trigamma(k)),)
+
+    k0 = (3.0 - s + math.sqrt((s - 3.0) ** 2 + 24.0 * s)) / (12.0 * s)  # log-moment start
+    (k,) = _newton((k0,), step)
     return k, mean / k
 
 
 def _fit_weibull(x: np.ndarray) -> tuple[float, float]:
-    sd_lx = float(np.log(x).std())
-    if sd_lx == 0:
-        raise ValueError("weibull fit requires a non-constant sample")
+    sd_lx = _spread("weibull", x, float(np.log(x).std()))
     # The shape equation is scale-free; it is solved on the data divided by
     # their maximum, which keeps sum(y^k) >= 1 whatever the shape.
     top = float(x[-1])
@@ -349,50 +357,39 @@ def _fit_weibull(x: np.ndarray) -> tuple[float, float]:
     ly = np.log(y)
     mean_ly = float(ly.mean())
 
-    def equation(k):
+    def step(k):
         w = y**k
         sw, swl, swll = float(w.sum()), float((w * ly).sum()), float((w * ly * ly).sum())
-        return swl / sw - 1.0 / k - mean_ly, (swll * sw - swl * swl) / (sw * sw) + 1.0 / (k * k)
+        f = swl / sw - 1.0 / k - mean_ly
+        return abs(f), lambda: (-f / ((swll * sw - swl * swl) / (sw * sw) + 1.0 / (k * k)),)
 
-    k = _solve_shape("weibull", math.pi / (math.sqrt(6.0) * sd_lx), equation)  # log-variance start
+    (k,) = _newton((math.pi / (math.sqrt(6.0) * sd_lx),), step)  # log-variance start
     return k, top * float(np.mean(y**k)) ** (1.0 / k)
 
 
 def _fit_beta(x: np.ndarray) -> tuple[float, float]:
     m = float(x.mean())
-    v = float(x.var())
-    if v == 0:
-        raise ValueError("beta fit requires a non-constant sample")
+    v = _spread("beta", x, float(x.var()))
     concentration = max(m * (1.0 - m) / v - 1.0, 1e-3)
-    a = max(m * concentration, 1e-3)
-    b = max((1.0 - m) * concentration, 1e-3)
-    g1 = float(np.log(x).mean())
-    g2 = float(np.log1p(-x).mean())
-    for _ in range(_MAX_ITER):
+    a, b = (max(w * concentration, 1e-3) for w in (m, 1.0 - m))
+    g1, g2 = float(np.log(x).mean()), float(np.log1p(-x).mean())
+
+    def step(a, b):
         psi_ab = _digamma(a + b)
         r1 = g1 - (_digamma(a) - psi_ab)
         r2 = g2 - (_digamma(b) - psi_ab)
-        if (residual := max(abs(r1), abs(r2))) <= 1e-13:
-            break
-        t_ab = _trigamma(a + b)
-        j11 = t_ab - _trigamma(a)
-        j22 = t_ab - _trigamma(b)
-        det = j11 * j22 - t_ab * t_ab
-        if det == 0:
-            raise ConvergenceError("beta fit: singular Newton system")
-        da = -(j22 * r1 - t_ab * r2) / det
-        db = -(j11 * r2 - t_ab * r1) / det
-        while a + da <= 0 or b + db <= 0:
-            da *= 0.5
-            db *= 0.5
-        if max(abs(da), abs(db)) <= 1e-15 * max(1.0, a, b):
-            a, b = a + da, b + db
-            break
-        a, b = a + da, b + db
-    else:
-        raise ConvergenceError(f"beta fit did not converge after {_MAX_ITER} iterations "
-                               f"(alpha={a:.6g}, beta={b:.6g}, residual={residual:.3g})")
-    return a, b
+
+        def solve():
+            t_ab = _trigamma(a + b)
+            j11, j22 = t_ab - _trigamma(a), t_ab - _trigamma(b)
+            det = j11 * j22 - t_ab * t_ab
+            if det == 0:
+                raise ConvergenceError("beta fit: singular Newton system")
+            return -(j22 * r1 - t_ab * r2) / det, -(j11 * r2 - t_ab * r1) / det
+
+        return max(abs(r1), abs(r2)), solve
+
+    return _newton((a, b), step)
 
 
 def _log1p_z2(x: np.ndarray, w: float) -> tuple[np.ndarray, np.ndarray, bool]:
@@ -482,8 +479,7 @@ def _qgaussian_starts(x: np.ndarray) -> list[tuple[float, float]]:
 
 
 def _fit_qgaussian(x: np.ndarray) -> tuple[float, float]:
-    if np.all(x == x[0]):
-        raise ValueError("qgaussian fit requires a non-constant sample")
+    _spread("qgaussian", x, float(x[-1]) - float(x[0]))
     from scipy import optimize  # imported here, its only use, to spare other runs its cost
 
     def quasi_newton(t0: float, w0: float) -> tuple[float, float]:
@@ -563,7 +559,7 @@ _FAMILIES = {
         names=("mean", "sd"),
         rules=((lambda mu, sd: sd > 0, "sd > 0"),),
         draw=lambda rng, n, mu, sd: rng.normal(mu, sd, n),
-        fit=_fit_normal,
+        fit=lambda x: _fit_normal("normal", x, x),
         units=(0, 1),
     ),
     Family.UNIFORM: _Spec(
@@ -576,7 +572,7 @@ _FAMILIES = {
         names=("log_mean", "log_sd"),
         rules=((lambda mu, sd: sd > 0, "sd > 0"),),
         draw=lambda rng, n, mu, sd: rng.lognormal(mu, sd, n),
-        fit=lambda x: _fit_normal(np.log(x), "lognormal"),
+        fit=lambda x: _fit_normal("lognormal", x, np.log(x)),
         support=(0.0, math.inf),
         support_reason=_POSITIVE,
     ),

@@ -78,24 +78,27 @@ def esjs(p: StepSurvival, q: StepSurvival) -> float:
     if p.values[-1] != q.values[-1]:
         return math.inf
     grid = np.union1d(p.breakpoints, q.breakpoints)
-    # each evaluation is a new array, read before _step_sum writes over grid[lo:hi]
-    return _step_sum(grid, lambda lo, hi, pv, qv: (p(grid[lo:hi]), q(grid[lo:hi])), _Workspace())
+
+    def fill(lo, hi, pv, qv):
+        np.copyto(pv, p(grid[lo:hi]))
+        np.copyto(qv, q(grid[lo:hi]))
+
+    return _step_sum(grid, fill, _Workspace())
 
 
 def _step_sum(grid: np.ndarray, fill, ws: _Workspace) -> float:
     """Exact integral of the integrand of two step functions over ``grid``.
 
-    The functions take P and Q on ``[grid[k], grid[k+1])``, non-increasing
-    in ``k``; the caller has checked that the integrand is 0 outside the
-    grid.  The cells go in chunks of at most ``_CHUNK``, and the four chunk
-    buffers, ``pv``, ``qv``, ``out`` and ``t``, are ``ws``'s.  ``fill(lo, hi,
-    pv, qv)`` returns P and Q on cells ``lo`` to ``hi - 1``: the two buffers,
-    ``hi - lo`` long, written, or two new float64 arrays.  :func:`_integrand`
-    overwrites the first and only reads the second.  ``fill`` may read
-    ``grid[lo:hi]``, which no product has overwritten yet.  Each cell's width
-    times its integrand is written over ``grid[k]`` once the chunk's widths
-    have read ``grid[k + 1]``, and one sum over those products gives the
-    result, so ``grid`` is spent; it may not overlap any other buffer.
+    The functions take P and Q on ``[grid[k], grid[k+1])``, non-increasing in
+    ``k``; the caller has checked that the integrand is 0 outside the grid.
+    Cells go in chunks of at most ``_CHUNK`` through ``ws``'s four chunk
+    buffers.  ``fill(lo, hi, pv, qv)`` writes P and Q on cells ``lo`` to
+    ``hi - 1`` into the ``hi - lo`` long ``pv`` and ``qv`` and returns nothing;
+    it may read ``grid[lo:hi]``, which no product has overwritten yet, and
+    :func:`_integrand` overwrites ``pv`` and only reads ``qv``.  Each cell's
+    width times its integrand is written over ``grid[k]`` once the chunk's
+    widths have read ``grid[k + 1]``, and one sum over those products gives
+    the result, so ``grid`` is spent; it may not overlap any other buffer.
     """
     n = grid.size - 1
     pv, qv, out, t = (ws.array(name, min(n, _CHUNK)) for name in ("pv", "qv", "out", "t"))
@@ -105,7 +108,8 @@ def _step_sum(grid: np.ndarray, fill, ws: _Workspace) -> float:
     for lo in range(0, n, _CHUNK):
         hi = min(lo + _CHUNK, n)
         size = hi - lo
-        integrand = _integrand(*fill(lo, hi, pv[:size], qv[:size]), out[:size], t[:size])
+        fill(lo, hi, pv[:size], qv[:size])
+        integrand = _integrand(pv[:size], qv[:size], out[:size], t[:size])
         # t is free again; grid[hi] is read here, before the next chunk writes it
         if half:  # fill has read grid[lo:hi], so it may be halved in place
             widths = np.multiply(grid[lo + 1 : hi + 1], 0.5, out=t[:size])

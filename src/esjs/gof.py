@@ -129,7 +129,6 @@ def _esjs_of_positions(
         np.divide(np.subtract(n_p, low, out=low), n_p, out=pv)
         chunk >>= 32
         np.divide(np.subtract(n_q, chunk, out=chunk), n_q, out=qv)
-        return pv, qv
 
     return _step_sum(grid, fill, ws)
 

@@ -584,6 +584,20 @@ class TestNumericalEdgeCases:
         # the reason names the family and float64, not numpy's own wording
         assert other in skipped["reason"] and "float64" in skipped["reason"]
 
+    def test_a_spread_float64_cannot_resolve_is_skipped(self, tmp_path, capsys):
+        # 101 distinct values whose gamma log-spread rounds to 0: gamma is
+        # skipped as a numerical failure, and the normal row stays
+        values = 1.0 + 1e-9 * np.linspace(-1.0, 1.0, 101)
+        path = write(tmp_path, "a.csv", "".join(f"{v:.17g}\n" for v in values))
+        argv = ["compare", "--raw", "--input", path, "--families", "normal,gamma",
+                "--bootstrap", "3", "--seed", "1"]
+        assert run(argv) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert [row["family"] for row in report["rows"]] == ["normal"]
+        assert report["skipped"] == [
+            {"family": "gamma", "reason": "gamma fit: float64 cannot resolve the spread of the data"}
+        ]
+
     def test_with_no_family_left_an_overflow_is_a_numerical_failure(self, tmp_path, capsys):
         path = write(tmp_path, "a.csv", "v\n-1.7e308\n1.7e308\n")
         for argv in (["compare", "--families", "qgaussian,uniform"],

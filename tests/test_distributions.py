@@ -421,27 +421,46 @@ class TestFitIterative:
         with pytest.raises(ConvergenceError, match=r"weibull fit: .*, 1000\.001\d*\)"):
             fit_mle(Family.WEIBULL, SortedSample.from_data(values))
 
-    @pytest.mark.parametrize("family", [Family.GAMMA, Family.BETA])
-    def test_convergence_errors_give_iterations_and_residual(self, family, monkeypatch):
+    @pytest.mark.parametrize("family", [Family.GAMMA, Family.WEIBULL, Family.BETA])
+    def test_capped_fits_get_the_score_verdict(self, family, monkeypatch):
+        # at the cap the solver returns its last iterate, and fit_mle's score
+        # check is the one verdict: the start point alone fails it
         sample = sample_from(ParametricModel(family, (2.0, 3.0)), 500, 7)
-        monkeypatch.setattr(distributions, "_MAX_ITER", 2)
+        fitted = fit_mle(family, sample)
+        monkeypatch.setattr(distributions, "_MAX_ITER", 0)
         number = r"[-+.\de]+"
-        message = {
-            Family.GAMMA: rf"gamma shape iteration did not converge after 2 iterations "
-                          rf"\(shape={number}, residual={number}\)$",
-            Family.BETA: rf"beta fit did not converge after 2 iterations "
-                         rf"\(alpha={number}, beta={number}, residual={number}\)$",
-        }[family]
-        with pytest.raises(ConvergenceError, match=message):
-            fit_mle(family, sample)
-
-    def test_shape_solver_gives_up_after_max_iterations(self):
-        # a residual that never falls: each Newton step adds 1 to the shape
         with pytest.raises(ConvergenceError, match=(
-            r"^weibull shape iteration did not converge after 200 iterations "
-            r"\(shape=201, residual=1\)$"
+            rf"^{family.value} fit: score norm {number} exceeds 1e-06 "
+            rf"at parameters \({number}, {number}\)$"
         )):
-            distributions._solve_shape("weibull", 1.0, lambda k: (1.0, -1.0))
+            fit_mle(family, sample)
+        # three steps from the start reach the uncapped fit
+        monkeypatch.setattr(distributions, "_MAX_ITER", 3)
+        assert fit_mle(family, sample) == fitted
+
+    def test_newton_stops_at_the_cap_with_its_last_iterate(self):
+        # a residual that never falls: each Newton step adds 1 to the parameter
+        assert distributions._newton((1.0,), lambda k: (1.0, lambda: (1.0,))) == (201.0,)
+
+    def test_a_root_needs_no_newton_step(self):
+        # at a root the solver returns without solving for a step: there the
+        # Newton system may be singular in float64
+        assert distributions._newton((1.0,), lambda k: (0.0, lambda: 1 / 0)) == (1.0,)
+        # starts that are roots already: the shape's derivative rounds to 0
+        # past k = 2^52, and beta's determinant at concentrations past about 1e16
+        line = np.linspace(-1.0, 1.0, 101)
+        fit_mle(Family.GAMMA, SortedSample.from_data(3.0 * (1.0 + 1e-14 * line)))
+        fit_mle(Family.BETA, SortedSample.from_data(0.5 + 1e-10 * line))
+
+    def test_a_nan_iterate_gets_the_score_verdict(self, monkeypatch):
+        # the verdict comes before the model checks its parameters, so a solver
+        # that ran off to nan is a numerical failure, not a data error
+        monkeypatch.setattr(distributions, "_newton", lambda x, step: (math.nan,) * len(x))
+        sample = sample_from(ParametricModel(Family.GAMMA, (2.0, 3.0)), 500, 7)
+        with pytest.raises(ConvergenceError, match=(
+            r"^gamma fit: score norm nan exceeds 1e-06 at parameters \(nan, nan\)$"
+        )):
+            fit_mle(Family.GAMMA, sample)
 
     @pytest.mark.parametrize(
         "family, true_params",
@@ -557,6 +576,23 @@ class TestFitErrors:
         for family in (Family.NORMAL, Family.LOG_NORMAL):
             with pytest.raises(ValueError, match=f"^{family.value} fit requires a non-constant"):
                 fit_mle(family, constant)
+        # so does every other fit that needs a spread: a data error, not a numerical one
+        for family in (Family.UNIFORM, Family.GAMMA, Family.WEIBULL, Family.BETA, Family.Q_GAUSSIAN):
+            with pytest.raises(ValueError, match=f"^{family.value} fit requires a non-constant sample$"):
+                fit_mle(family, SortedSample.from_data([0.5, 0.5, 0.5]))
+
+    @pytest.mark.parametrize(
+        "family, level",
+        [(Family.LOG_NORMAL, 1e300), (Family.GAMMA, 1e300), (Family.BETA, 1e-200)],
+    )
+    def test_a_spread_float64_cannot_resolve_is_a_numerical_failure(self, family, level):
+        # five distinct values one ulp apart, whose log-spread or variance is 0
+        values = [level * (1.0 + k * 2.0**-52) for k in range(5)]
+        assert len(set(values)) == 5
+        with pytest.raises(ConvergenceError, match=(
+            f"^{family.value} fit: float64 cannot resolve the spread of the data$"
+        )):
+            fit_mle(family, SortedSample.from_data(values))
 
     def test_tiny_samples_rejected(self):
         with pytest.raises(ValueError):

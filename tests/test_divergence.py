@@ -165,7 +165,6 @@ class TestStepSum:
                 np.testing.assert_array_equal(qv_buf, qv[calls[-1][0] :][: qv_buf.size])
             calls.append((lo, hi, pv_buf.size, qv_buf.size))
             pv_buf[:], qv_buf[:] = pv[lo:hi], qv[lo:hi]
-            return pv_buf, qv_buf
 
         got = _step_sum(grid, fill, ws)
         assert calls == [

@@ -103,3 +103,21 @@ def test_the_kernel_alone_sizes_its_chunks():
     readers = [m.__name__ for m in modules if "_CHUNK" in _names_used(pathlib.Path(m.__file__))]
     owners = [m.__name__ for m in modules if "_Workspace" in _top_level_definitions(m)]
     assert readers == owners == ["esjs.divergence"]
+
+
+def test_one_newton_loop_reads_the_iteration_cap():
+    # every iterative fit runs distributions._newton, and a loop of its own
+    # would read the cap too; a read in a nested function counts for the
+    # top-level function around it
+    readers = []
+    for module in _modules():
+        for top in ast.parse(pathlib.Path(module.__file__).read_text()).body:
+            reads = (
+                (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                 and node.id == "_MAX_ITER")
+                or (isinstance(node, ast.Attribute) and node.attr == "_MAX_ITER")
+                for node in ast.walk(top)
+            )
+            if any(reads):
+                readers.append(f"{module.__name__}.{getattr(top, 'name', '<module>')}")
+    assert readers == ["esjs.distributions._newton"]
