@@ -149,35 +149,31 @@ def replicate_values(statistic, data, config: BootstrapConfig, workers: int = 1)
     reps = np.empty(config.resamples)
     todo = iter(range(config.resamples))
     lock = threading.Lock()
+    failures: list[BaseException] = []
 
     def take() -> int | None:
         with lock:
-            return next(todo, None)
+            return None if failures else next(todo, None)
 
     def work() -> None:
-        nonlocal todo
         try:
             for b in iter(take, None):
                 reps[b] = one(b)
-        except BaseException:
+        except BaseException as exc:  # held for the caller, so no thread prints it
             with lock:
-                todo = iter(())
-            raise
-
-    helpers = min(workers, config.resamples, os.cpu_count() or 1) - 1
-    if helpers < 1:
-        work()
-        return reps
-    # imported here, so a one-thread run does not load concurrent.futures and logging
-    from concurrent.futures import ThreadPoolExecutor
+                failures.append(exc)
 
     # the caller's own memory, freed by what ran before, serves its replicates;
     # a new thread would allocate a working set of its own
-    with ThreadPoolExecutor(max_workers=helpers) as pool:
-        futures = [pool.submit(work) for _ in range(helpers)]
-        work()
-    for future in futures:
-        future.result()
+    helpers = min(workers, config.resamples, os.cpu_count() or 1) - 1
+    threads = [threading.Thread(target=work) for _ in range(helpers)]
+    for thread in threads:
+        thread.start()
+    work()
+    for thread in threads:
+        thread.join()
+    if failures:
+        raise failures[0]
     return reps
 
 

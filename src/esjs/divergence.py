@@ -6,9 +6,10 @@ M the equal-weight mixture of P and Q,
     ESJS(P, Q) = 1/2 integral ( P log(P/M) + Q log(Q/M) ) dx.
 
 All survival functions here are step functions, so the integral is evaluated
-exactly as a finite sum over the union of breakpoints.  The square root of
-the ESJS is a metric; the ratio of two ESJS scores against the same data is
-an odds-ratio style model-comparison factor.
+exactly as a finite sum over the union of breakpoints; a bootstrap replicate
+sums over the pooled values its resampled positions occupy.  The square root
+of the ESJS is a metric; the ratio of two ESJS scores against the same data
+is an odds-ratio style model-comparison factor.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .survival import StepSurvival
+from .survival import SortedSample, StepSurvival, _snap_up
 
 __all__ = [
     "EsjsFactor",
@@ -118,6 +119,76 @@ def _step_sum(grid: np.ndarray, fill, ws: _Workspace) -> float:
             widths = np.subtract(grid[lo + 1 : hi + 1], grid[lo:hi], out=t[:size])
         np.multiply(widths, integrand, out=grid[lo:hi])
     return float(np.sum(grid[:n])) * (2.0 if half else 1.0) + 0.0
+
+
+def _pool(p: SortedSample, q: SortedSample) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Distinct values of both samples, increasing, and the index of each
+    observation of ``p`` and of ``q`` among them (int32, non-decreasing)."""
+    values = np.concatenate([p.values, q.values])
+    order = np.argsort(values, kind="stable")  # two sorted runs: a single merge
+    values = values[order]
+    new = np.empty(values.size, dtype=bool)
+    new[0] = False
+    np.not_equal(values[1:], values[:-1], out=new[1:])
+    positions = np.empty(values.size, dtype=np.int32)
+    positions[order] = np.cumsum(new, dtype=np.int32)
+    new[0] = True
+    return values[new], positions[: p.n], positions[p.n :]
+
+
+def _esjs_of_positions(
+    x: np.ndarray, p_pos: np.ndarray, q_pos: np.ndarray, bins: int | None, ws: _Workspace
+) -> float:
+    """``gof._esjs_between`` of the samples ``x[p_pos]`` and ``x[q_pos]``, bit for bit.
+
+    ``x`` holds distinct increasing values, so counting the positions orders
+    the samples: the occupied values are the kernel's grid (or, binned, they
+    snap to it), and one running count gives both survivals on it.  No sort
+    and no survival is built, which is what makes a bootstrap replicate cheap.
+    Each array as long as ``x`` or the grid is one of ``ws``'s, where the
+    kernel finds its chunk buffers too.
+    """
+    # One packed count per pooled value: p's draws in the low 32 bits, q's in
+    # the high 32 bits (sizes stay below 2^31).  Memory is what limits a
+    # replicate, so spent arrays take later stages: the counts' memory holds
+    # the grid (binned: the levels; _snap_up's grid is new), and the kernel
+    # unpacks the levels a chunk at a time into chunk-long buffers.
+    counts = ws.array("counts", x.size, np.int64)
+    counts.fill(0)
+    np.add.at(counts, p_pos, 1)
+    np.add.at(counts, q_pos, 1 << 32)
+    occupied = np.flatnonzero(np.not_equal(counts, 0, out=ws.array("mask", x.size, bool)))
+    # every index is in range: "clip" only spares the copy of out that "raise" makes
+    levels = ws.array("levels", occupied.size, np.int64)
+    np.take(counts, occupied, out=levels, mode="clip")
+    np.cumsum(levels, out=levels)  # counts at or below each occupied value
+    grid = np.take(x, occupied, out=counts.view(np.float64)[: occupied.size], mode="clip")
+    del occupied
+    if bins is not None and grid.size > 1:
+        # the replicate's own range, as gof._esjs_between takes it
+        grid, ends = _snap_up(grid, grid[0], grid[-1], bins)
+        levels = np.take(levels, ends, out=counts[: ends.size], mode="clip")
+    n_p, n_q = p_pos.size, q_pos.size
+
+    def fill(lo, hi, pv, qv):
+        # p's counts are the low halves of the levels, q's the high ones; a
+        # chunk of levels is spent once both are read
+        chunk = levels[lo:hi]
+        low = np.bitwise_and(chunk, 0xFFFFFFFF, out=qv.view(np.int64))
+        np.divide(np.subtract(n_p, low, out=low), n_p, out=pv)
+        chunk >>= 32
+        np.divide(np.subtract(n_q, chunk, out=chunk), n_q, out=qv)
+
+    return _step_sum(grid, fill, ws)
+
+
+def _resampled_esjs(p: SortedSample, q: SortedSample, bins: int | None):
+    """The bootstrap statistic of the divergence of ``p`` and ``q``, and what it
+    resamples: the positions of their observations among the pooled values.
+    Each thread that runs the statistic keeps its arrays in one workspace."""
+    pooled, p_pos, q_pos = _pool(p, q)
+    ws = _Workspace()
+    return (lambda a, b: _esjs_of_positions(pooled, a, b, bins, ws)), (p_pos, q_pos)
 
 
 @dataclass(frozen=True)

@@ -16,9 +16,9 @@ import numpy as np
 from .bootstrap import BootstrapConfig, ConfidenceInterval, bootstrap_ci
 from .distributions import ConvergenceError, Family, ParametricModel, fit_mle, sample_from
 from .distributions import support_problem
-from .divergence import EsjsFactor, _step_sum, _Workspace, esjs
+from .divergence import EsjsFactor, _resampled_esjs, esjs
 from .seeds import derive_seed
-from .survival import SortedSample, _snap_up, empirical_survival, km_binned_survival
+from .survival import SortedSample, empirical_survival, km_binned_survival
 
 __all__ = [
     "FitReport",
@@ -72,67 +72,6 @@ def _esjs_between(p: SortedSample, q: SortedSample, bins: int | None) -> float:
     return esjs(km_binned_survival(p, bins, (lo, hi)), km_binned_survival(q, bins, (lo, hi)))
 
 
-def _pool(p: SortedSample, q: SortedSample) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Distinct values of both samples, increasing, and the index of each
-    observation of ``p`` and of ``q`` among them (int32, non-decreasing)."""
-    values = np.concatenate([p.values, q.values])
-    order = np.argsort(values, kind="stable")  # two sorted runs: a single merge
-    values = values[order]
-    new = np.empty(values.size, dtype=bool)
-    new[0] = False
-    np.not_equal(values[1:], values[:-1], out=new[1:])
-    positions = np.empty(values.size, dtype=np.int32)
-    positions[order] = np.cumsum(new, dtype=np.int32)
-    new[0] = True
-    return values[new], positions[: p.n], positions[p.n :]
-
-
-def _esjs_of_positions(
-    x: np.ndarray, p_pos: np.ndarray, q_pos: np.ndarray, bins: int | None, ws: _Workspace
-) -> float:
-    """``_esjs_between`` of the samples ``x[p_pos]`` and ``x[q_pos]``, bit for bit.
-
-    ``x`` holds distinct increasing values, so counting the positions orders
-    the samples: the occupied values are the kernel's grid (or, binned, they
-    snap to it), and one running count gives both survivals on it.  No sort
-    and no survival is built, which is what makes a bootstrap replicate cheap.
-    Each array as long as ``x`` or the grid is one of ``ws``'s, where the
-    kernel finds its chunk buffers too.
-    """
-    # One packed count per pooled value: p's draws in the low 32 bits, q's in
-    # the high 32 bits (sizes stay below 2^31).  Memory is what limits a
-    # replicate, so spent arrays take later stages: the counts' memory holds
-    # the grid (binned: the levels; _snap_up's grid is new), and the kernel
-    # unpacks the levels a chunk at a time into chunk-long buffers.
-    counts = ws.array("counts", x.size, np.int64)
-    counts.fill(0)
-    np.add.at(counts, p_pos, 1)
-    np.add.at(counts, q_pos, 1 << 32)
-    occupied = np.flatnonzero(np.not_equal(counts, 0, out=ws.array("mask", x.size, bool)))
-    # every index is in range: "clip" only spares the copy of out that "raise" makes
-    levels = ws.array("levels", occupied.size, np.int64)
-    np.take(counts, occupied, out=levels, mode="clip")
-    np.cumsum(levels, out=levels)  # counts at or below each occupied value
-    grid = np.take(x, occupied, out=counts.view(np.float64)[: occupied.size], mode="clip")
-    del occupied
-    if bins is not None and grid.size > 1:
-        # the replicate's own range, as _esjs_between takes it
-        grid, ends = _snap_up(grid, grid[0], grid[-1], bins)
-        levels = np.take(levels, ends, out=counts[: ends.size], mode="clip")
-    n_p, n_q = p_pos.size, q_pos.size
-
-    def fill(lo, hi, pv, qv):
-        # p's counts are the low halves of the levels, q's the high ones; a
-        # chunk of levels is spent once both are read
-        chunk = levels[lo:hi]
-        low = np.bitwise_and(chunk, 0xFFFFFFFF, out=qv.view(np.int64))
-        np.divide(np.subtract(n_p, low, out=low), n_p, out=pv)
-        chunk >>= 32
-        np.divide(np.subtract(n_q, chunk, out=chunk), n_q, out=qv)
-
-    return _step_sum(grid, fill, ws)
-
-
 def fit_report(
     data: SortedSample,
     family: Family,
@@ -153,16 +92,8 @@ def fit_report(
     model_sample = sample_from(model, size, model_seed)
     score = _esjs_between(model_sample, data, bins)
     ci_config = replace(config, seed=derive_seed(config.seed, "bootstrap", family.value))
-    # the replicates resample positions in the pooled values, not the values
-    pooled, model_pos, data_pos = _pool(model_sample, data)
-    ws = _Workspace()
-    ci = bootstrap_ci(
-        lambda m, d: _esjs_of_positions(pooled, m, d, bins, ws),
-        (model_pos, data_pos),
-        ci_config,
-        workers=workers,
-        point=score,
-    )
+    statistic, positions = _resampled_esjs(model_sample, data, bins)
+    ci = bootstrap_ci(statistic, positions, ci_config, workers=workers, point=score)
     return FitReport(
         family=family,
         params=model.params,

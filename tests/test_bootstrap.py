@@ -1,9 +1,7 @@
-import concurrent.futures
 import os
 import sys
 import threading
 import time
-from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -300,34 +298,29 @@ class TestReplicateScheduling:
         replicate_values(statistic, self.data, BootstrapConfig(resamples=3, seed=1), workers=8)
         assert 1 <= len(seen) <= 3
 
-    @pytest.mark.parametrize("count, helpers", [(4, [3]), (1, []), (None, [])],
+    @pytest.mark.parametrize("count, helpers", [(4, 3), (1, 0), (None, 0)],
                              ids=["4 cpus", "1 cpu", "unknown"])
     def test_no_more_threads_than_cpus(self, cpus, monkeypatch, count, helpers):
-        # a stand-in pool records how many threads it was asked for and starts
+        # a stand-in thread class records each helper it is asked for and runs
         # none, so the caller runs every replicate itself
-        asked = []
+        made = []
 
-        class RecordingPool:
-            def __init__(self, max_workers):
-                asked.append(max_workers)
+        class RecordingThread:
+            def __init__(self, target):
+                made.append(target)
 
-            def __enter__(self):
-                return self
+            def start(self):
+                pass
 
-            def __exit__(self, *exc_info):
-                return False
-
-            def submit(self, fn):
-                done = Future()
-                done.set_result(None)
-                return done
+            def join(self):
+                pass
 
         cpus(count)
-        # replicate_values imports the executor from its module when it starts helpers
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
+        # replicate_values makes its helpers from the threading module
+        monkeypatch.setattr(threading, "Thread", RecordingThread)
         config = BootstrapConfig(resamples=50, seed=1)
         got = replicate_values(_positions_statistic, self.data, config, workers=5000)
-        assert asked == helpers
+        assert len(made) == helpers
         want = replicate_values(_positions_statistic, self.data, config, workers=1)
         np.testing.assert_array_equal(got, want)
 

@@ -454,6 +454,31 @@ class TestRunFitAndCompare:
         assert code == 2
         assert "beta" in capsys.readouterr().err
 
+    def test_an_empty_file_is_a_data_error(self, tmp_path, capsys):
+        path = write(tmp_path, "empty.csv", "")
+        assert run(["compare", "--input", path, "--families", "normal", "--seed", "1"]) == 2
+        assert capsys.readouterr().err == f"esjs: data error: {path}: empty file\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["compare", "--families", "normal", "--bootstrap", "abc"],
+         "esjs compare: error: argument --bootstrap: expected an integer, got 'abc'"),
+        (["compare", "--families", "normal", "--level", "abc"],
+         "esjs compare: error: argument --level: expected a number, got 'abc'"),
+        (["compare", "--families", ","],
+         "esjs compare: error: argument --families: expected a comma-separated list of families"),
+        (["simulate", "--given", "normal:a,1", "--hypotheses", "normal", "--n", "100"],
+         "esjs simulate: error: argument --given: bad model spec 'normal:a,1': "),
+        (["fit", "--family", "nope"],
+         "esjs fit: error: argument --family: unknown family 'nope'; expected one of: normal, "),
+    ], ids=["bootstrap", "level", "families", "given", "family"])
+    def test_a_bad_flag_value_is_a_usage_error_that_names_it(self, argv, message, capsys):
+        # parsing stops before the input, which is never read
+        input_flags = [] if argv[0] == "simulate" else ["--input", "unread.csv"]
+        with pytest.raises(SystemExit) as exc:
+            run([*argv, *input_flags, "--seed", "1"])
+        assert exc.value.code == 1
+        assert capsys.readouterr().err.splitlines()[-1].startswith(message)
+
     def test_compare_ranks_families(self, tmp_path, capsys):
         data = sample_from(ParametricModel(Family.GAMMA, (2.0, 2.0)), 3000, 6)
         path = write(tmp_path, "g.csv", "\n".join(str(v) for v in data.values))
@@ -681,8 +706,8 @@ print(json.dumps([garbage("--bootstrap", "5"), garbage("--bootstrap", "200", "--
 
 
 # Runs in a fresh interpreter: the pipeline on every family but qgaussian must
-# leave scipy unloaded; a qgaussian fit then loads it and works.  The thread
-# pool (concurrent.futures) loads only once a second worker starts a helper.
+# leave scipy unloaded; a qgaussian fit then loads it and works.  Helper
+# threads are plain threads, so concurrent.futures stays unloaded at any workers.
 _STARTUP_SCRIPT = """
 import contextlib, io, json, os, sys
 import esjs.cli
@@ -753,7 +778,7 @@ class TestStartUp:
         assert out["codes"] == [0, 0]
         assert out["pipeline"] == []
         assert not out["pool_after_one_worker"]
-        assert out["pool_after_two_workers"]
+        assert not out["pool_after_two_workers"]
         # the fit scipy's gamma functions and L-BFGS-B gave before they loaded lazily
         assert out["qgaussian"] == [3.5747095559318813, 0.9479306350708966]
         assert "scipy.special" in out["after"]

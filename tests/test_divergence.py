@@ -17,8 +17,8 @@ from esjs import (
     survival_entropy,
 )
 
-from esjs.divergence import _CHUNK, _step_sum, _Workspace
-from esjs.gof import _esjs_between, _esjs_of_positions, _pool
+from esjs.divergence import _CHUNK, _esjs_of_positions, _pool, _step_sum, _Workspace
+from esjs.gof import _esjs_between
 
 from conftest import esjs_spacings, random_sample, segment_esjs_oracle
 

@@ -24,8 +24,8 @@ from esjs import (
     simulate_experiment,
     support_problem,
 )
-from esjs.divergence import _CHUNK, _Workspace
-from esjs.gof import _esjs_between, _esjs_of_positions, _pool
+from esjs.divergence import _CHUNK, _esjs_of_positions, _pool, _Workspace
+from esjs.gof import _esjs_between
 
 NORMAL01 = ParametricModel(Family.NORMAL, (0.0, 1.0))
 

@@ -105,6 +105,31 @@ def test_the_kernel_alone_sizes_its_chunks():
     assert readers == owners == ["esjs.divergence"]
 
 
+def test_the_divergence_module_owns_the_replicate_score():
+    # gof hands the bootstrap divergence._resampled_esjs, so the packed counts'
+    # layout, the workspace and the snapping to bin edges stay behind it
+    modules = _modules()
+    for name in ("_step_sum", "_Workspace"):
+        readers = [m.__name__ for m in modules if name in _names_used(pathlib.Path(m.__file__))]
+        assert readers == ["esjs.divergence"], name
+    gof = ast.parse((PACKAGE / "gof.py").read_text())
+    from_survival = [alias.name for node in ast.walk(gof)
+                     if isinstance(node, ast.ImportFrom) and node.module == "survival"
+                     for alias in node.names]
+    assert "SortedSample" in from_survival  # the relative import this looks for
+    assert [name for name in from_survival if name.startswith("_")] == []
+    # replicates run on plain threads, not on an executor
+    imported = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module)
+    assert "threading" in imported
+    assert [m for m in imported if m.split(".")[0] == "concurrent"] == []
+
+
 def test_one_newton_loop_reads_the_iteration_cap():
     # every iterative fit runs distributions._newton, and a loop of its own
     # would read the cap too; a read in a nested function counts for the
