@@ -23,7 +23,7 @@ from array import array
 import numpy as np
 
 from .bootstrap import BootstrapConfig
-from .distributions import ConvergenceError, Family, ParametricModel
+from .distributions import Family, ParametricModel
 from .gof import (
     ExperimentReport,
     FitReport,
@@ -510,7 +510,7 @@ def run(argv=None) -> int:
     started = time.perf_counter()
     try:
         report = args.handler(args)
-    except (ConvergenceError, ArithmeticError, np.linalg.LinAlgError) as exc:
+    except (ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"esjs: numerical failure: {exc}", file=sys.stderr)
         return 3
     except MemoryError as exc:  # numpy's names the allocation it could not make

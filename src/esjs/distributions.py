@@ -70,40 +70,35 @@ def _special():
     return special
 
 
-def _digamma(x: float) -> float:
-    """psi(x), x > 0: psi(x + 1) - 1/x up to x >= 10, then the series to its x^-14 term.
+def _polygamma(x: float) -> tuple[float, float]:
+    """(psi(x), psi'(x)), x > 0: psi(x + 1) - 1/x and psi'(x + 1) + 1/x^2 up to x >= 10,
+    then the series to their x^-14 and x^-19 terms.
 
-    Cut at x^-10 the series is 2e-14 off near x = 1-3.  From 10 up this is scipy's sum,
-    bit for bit; below, log(10) + log1p((x-10)/10) and the terms are summed exactly."""
-    terms = []
+    Cut at x^-10 the psi series is 2e-14 off near x = 1-3.  From 10 up psi is scipy's
+    sum, bit for bit; below, log(10) + log1p((x-10)/10) and the terms are summed exactly."""
+    psi_terms, tri_terms = [], []
     while x < 10.0:
-        terms.append(-1.0 / x)
+        psi_terms.append(-1.0 / x)
+        tri_terms.append(1.0 / (x * x))
         x += 1.0
     z = 1.0 / (x * x)
-    tail = z * ((((((1 / 12 * z - 691 / 32760) * z + 1 / 132) * z - 1 / 240) * z
-                  + 1 / 252) * z - 1 / 120) * z + 1 / 12)
-    if not terms:
-        return math.log(x) - 0.5 / x - tail
-    return math.fsum([*_LOG_10, math.log1p((x - 10.0) / 10.0), -0.5 / x, -tail, *terms])
-
-
-def _trigamma(x: float) -> float:
-    """psi'(x), x > 0: psi'(x + 1) + 1/x^2 up to x >= 10, then the series to x^-19."""
-    terms = []
-    while x < 10.0:
-        terms.append(1.0 / (x * x))
-        x += 1.0
-    z = 1.0 / (x * x)
-    tail = ((((((((43867 / 798 * z - 3617 / 510) * z + 7 / 6) * z - 691 / 2730) * z
-                + 5 / 66) * z - 1 / 30) * z + 1 / 42) * z - 1 / 30) * z + 1 / 6) * z / x
-    return math.fsum([1.0 / x, 0.5 * z, tail, *terms])
+    psi_tail = z * ((((((1 / 12 * z - 691 / 32760) * z + 1 / 132) * z - 1 / 240) * z
+                      + 1 / 252) * z - 1 / 120) * z + 1 / 12)
+    tri_tail = ((((((((43867 / 798 * z - 3617 / 510) * z + 7 / 6) * z - 691 / 2730) * z
+                    + 5 / 66) * z - 1 / 30) * z + 1 / 42) * z - 1 / 30) * z + 1 / 6) * z / x
+    if psi_terms:
+        psi = math.fsum([*_LOG_10, math.log1p((x - 10.0) / 10.0), -0.5 / x, -psi_tail,
+                         *psi_terms])
+    else:
+        psi = math.log(x) - 0.5 / x - psi_tail
+    return psi, math.fsum([1.0 / x, 0.5 * z, tri_tail, *tri_terms])
 
 
 class SupportError(ValueError):
     """Data lies outside the support required by a family."""
 
 
-class ConvergenceError(RuntimeError):
+class ConvergenceError(ArithmeticError):
     """A fit failed numerically: no convergence, or data float64 cannot resolve."""
 
 
@@ -254,7 +249,7 @@ def fit_mle(family: Family, sample: SortedSample) -> ParametricModel:
 
 def _gamma_score(x: np.ndarray, k: float, tau: float) -> np.ndarray:
     n = x.size
-    g_k = float(np.log(x).sum()) - n * _digamma(k) - n * math.log(tau)
+    g_k = float(np.log(x).sum()) - n * _polygamma(k)[0] - n * math.log(tau)
     g_tau = (float(x.sum()) / tau - n * k) / tau
     return np.array([g_k, g_tau])
 
@@ -271,9 +266,9 @@ def _weibull_score(x: np.ndarray, k: float, tau: float) -> np.ndarray:
 
 def _beta_score(x: np.ndarray, a: float, b: float) -> np.ndarray:
     n = x.size
-    psi_ab = _digamma(a + b)
-    g_a = float(np.log(x).sum()) - n * (_digamma(a) - psi_ab)
-    g_b = float(np.log1p(-x).sum()) - n * (_digamma(b) - psi_ab)
+    psi_a, psi_b, psi_ab = (_polygamma(v)[0] for v in (a, b, a + b))
+    g_a = float(np.log(x).sum()) - n * (psi_a - psi_ab)
+    g_b = float(np.log1p(-x).sum()) - n * (psi_b - psi_ab)
     return np.array([g_a, g_b])
 
 
@@ -338,8 +333,9 @@ def _fit_gamma(x: np.ndarray) -> tuple[float, float]:
     s = _spread("gamma", x, math.log(mean) - float(np.log(x).mean()))
 
     def step(k):  # Newton on log k - digamma(k) = s
-        f = math.log(k) - _digamma(k) - s
-        return abs(f), lambda: (-f / (1.0 / k - _trigamma(k)),)
+        psi, tri = _polygamma(k)
+        f = math.log(k) - psi - s
+        return abs(f), lambda: (-f / (1.0 / k - tri),)
 
     k0 = (3.0 - s + math.sqrt((s - 3.0) ** 2 + 24.0 * s)) / (12.0 * s)  # log-moment start
     (k,) = _newton((k0,), step)
@@ -375,13 +371,12 @@ def _fit_beta(x: np.ndarray) -> tuple[float, float]:
     g1, g2 = float(np.log(x).mean()), float(np.log1p(-x).mean())
 
     def step(a, b):
-        psi_ab = _digamma(a + b)
-        r1 = g1 - (_digamma(a) - psi_ab)
-        r2 = g2 - (_digamma(b) - psi_ab)
+        (psi_a, t_a), (psi_b, t_b), (psi_ab, t_ab) = map(_polygamma, (a, b, a + b))
+        r1 = g1 - (psi_a - psi_ab)
+        r2 = g2 - (psi_b - psi_ab)
 
         def solve():
-            t_ab = _trigamma(a + b)
-            j11, j22 = t_ab - _trigamma(a), t_ab - _trigamma(b)
+            j11, j22 = t_ab - t_a, t_ab - t_b
             det = j11 * j22 - t_ab * t_ab
             if det == 0:
                 raise ConvergenceError("beta fit: singular Newton system")
@@ -417,9 +412,9 @@ def _qgaussian_terms(x: np.ndarray, t: float, w: float) -> tuple[float, np.ndarr
     rr = np.multiply(2.0, r, out=z2)
     np.multiply(r, np.subtract(3.0, rr, out=rr), out=rr)
     sr, sr3 = float(r.sum()), float(rr.sum())
-    # scipy's gamma functions, not the scalar ones above: the fit's likelihood
-    # is flat in the tail, so any change to this arithmetic moves its result past
-    # 1e-12.  They switch to _digamma and _trigamma with a Newton-only fitter.
+    # scipy's gamma functions, not _polygamma above: the fit's likelihood is flat
+    # in the tail, so any change to this arithmetic moves its result past 1e-12.
+    # They switch to _polygamma and math.lgamma with a Newton-only fitter.
     special = _special()
     psi_gap = float(special.digamma(0.5 * t) - special.digamma(0.5 * (t - 1.0)))
     tri_gap = float(special.polygamma(1, 0.5 * t) - special.polygamma(1, 0.5 * (t - 1.0)))

@@ -14,8 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bootstrap import BootstrapConfig, ConfidenceInterval, bootstrap_ci
-from .distributions import ConvergenceError, Family, ParametricModel, fit_mle, sample_from
-from .distributions import support_problem
+from .distributions import Family, ParametricModel, fit_mle, sample_from, support_problem
 from .divergence import EsjsFactor, _resampled_esjs, esjs
 from .seeds import derive_seed
 from .survival import SortedSample, empirical_survival, km_binned_survival
@@ -115,13 +114,14 @@ def compare_families(
     """Score every support-compatible family and rank by divergence.
 
     Support-incompatible families and families whose fit, model sample or
-    score fails numerically (``ConvergenceError`` or ``ArithmeticError``: no
-    convergence, or a value past float64) are skipped with a reason; if no
-    family is left after such a failure, the first is raised.  The factor
-    compares the designated challenger (by default the second best, optionally
-    restricted by ``exclude_from_factor``) to the best; when the best scores 0
-    there is no challenger and the factor is 1.  A family given twice raises
-    ``ValueError``.
+    score fails numerically (an ``ArithmeticError``, ``ConvergenceError``
+    among them: no convergence, or a value past float64) are skipped with a
+    reason; if no family is left after such a failure, the first is raised.
+    Any other error, such as a fitter's data error, ends the comparison.  The
+    factor compares the designated challenger (by default the second best,
+    optionally restricted by ``exclude_from_factor``) to the best; when the
+    best scores 0 there is no challenger and the factor is 1.  A family given
+    twice raises ``ValueError``.
     """
     families = list(families)
     if not families:
@@ -139,7 +139,7 @@ def compare_families(
             continue
         try:
             rows.append(fit_report(data, family, config, model_sample_size, bins, workers=workers))
-        except (ConvergenceError, ArithmeticError) as exc:
+        except ArithmeticError as exc:
             skipped.append((family, str(exc)))
             failures.append(exc)
     if not rows and failures:

@@ -479,6 +479,35 @@ class TestRunFitAndCompare:
         assert exc.value.code == 1
         assert capsys.readouterr().err.splitlines()[-1].startswith(message)
 
+    @pytest.mark.parametrize("argv", [
+        ["fit", "--family", "pareto"], ["compare", "--families", "pareto,exponential"],
+    ], ids=["fit", "compare"])
+    def test_a_fitters_data_error_ends_the_run(self, argv, tmp_path, capsys):
+        # exponential fits this column, but only support problems and numerical
+        # failures skip a family: pareto's data error ends the comparison
+        path = write(tmp_path, "ones.csv", "1\n1\n1\n")
+        assert run([*argv, "--input", path, "--bootstrap", "5", "--seed", "1"]) == 2
+        assert capsys.readouterr() == (
+            "", "esjs: data error: pareto fit requires observations above the lower bound 1\n")
+
+    def test_a_fit_at_a_set_level_and_the_basic_method(self, tmp_path, capsys):
+        values = np.random.default_rng(3).lognormal(size=2000).tolist()
+        path = write(tmp_path, "x.csv", "\n".join(map(repr, values)))
+        rows = {}
+        for method in ("basic", "percentile"):
+            assert run(["fit", "--input", path, "--family", "gamma", "--bootstrap", "20",
+                        "--seed", "4", "--level", "0.9", "--method", method]) == 0
+            report = json.loads(capsys.readouterr().out)
+            echo = report["spec"]["bootstrap"]
+            assert (echo["level"], echo["ci_method"]) == (0.9, method)
+            (rows[method],) = report["rows"]
+        basic, percentile = rows["basic"]["ci"], rows["percentile"]["ci"]
+        assert basic["level"] == 0.9
+        # the basic interval reflects the percentile one about the point score
+        point = rows["basic"]["esjs"]
+        assert (basic["lb"], basic["ub"]) == (2 * point - percentile["ub"],
+                                              2 * point - percentile["lb"])
+
     def test_compare_ranks_families(self, tmp_path, capsys):
         data = sample_from(ParametricModel(Family.GAMMA, (2.0, 2.0)), 3000, 6)
         path = write(tmp_path, "g.csv", "\n".join(str(v) for v in data.values))

@@ -706,8 +706,9 @@ class TestScalarGammaFunctions:
     @example(float(np.nextafter(10.0, 11.0)) + 2 * 2.0**-49)
     def test_within_a_few_ulp_of_mpmath(self, x):
         with mpmath.workdps(50):
-            assert _ulps(distributions._digamma(x), mpmath.digamma(x)) <= 4
-            assert _ulps(distributions._trigamma(x), mpmath.psi(1, x)) <= 4
+            psi, tri = distributions._polygamma(x)
+            assert _ulps(psi, mpmath.digamma(x)) <= 4
+            assert _ulps(tri, mpmath.psi(1, x)) <= 4
             # CPython's lgamma (a Lanczos sum) is 7.9 ulp off at worst in 10^6
             # draws over [1, 6], where the sum cancels; scipy's gammaln is 1.6
             assert _ulps(math.lgamma(x), mpmath.loggamma(x)) <= 10
@@ -722,9 +723,8 @@ class TestScalarGammaFunctions:
         def fit(values, with_scipy):
             with monkeypatch.context() as patch:
                 if with_scipy:
-                    patch.setattr(distributions, "_digamma", lambda x: float(special.digamma(x)))
-                    patch.setattr(distributions, "_trigamma",
-                                  lambda x: float(special.polygamma(1, x)))
+                    patch.setattr(distributions, "_polygamma", lambda x: (
+                        float(special.digamma(x)), float(special.polygamma(1, x))))
                 return fit_mle(family, SortedSample.from_data(values)).params
 
         def residual(values, a, b):

@@ -14,6 +14,7 @@ from esjs import (
     StepSurvival,
     compare_families,
     derive_seed,
+    fit_mle,
     moving_block_resample,
     percentile_of_replicates,
     replicate_values,
@@ -46,6 +47,9 @@ CASES = {
     "empty component": (
         lambda: replicate_values(np.mean, (np.ones(3), np.array([])), BootstrapConfig()),
         "empty data component"),
+    "pareto at its lower bound": (
+        lambda: fit_mle(Family.PARETO, SortedSample.from_data([1.0, 1.0, 1.0])),
+        "pareto fit requires observations above the lower bound 1"),
 }
 
 

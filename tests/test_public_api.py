@@ -1,11 +1,13 @@
 """The public API: each name is declared once, and the library uses each one."""
 
 import ast
+import builtins
 import importlib
 import pathlib
 import pkgutil
 
 import esjs
+from esjs import ConvergenceError
 
 PACKAGE = pathlib.Path(esjs.__file__).parent
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
@@ -146,3 +148,25 @@ def test_one_newton_loop_reads_the_iteration_cap():
             if any(reads):
                 readers.append(f"{module.__name__}.{getattr(top, 'name', '<module>')}")
     assert readers == ["esjs.distributions._newton"]
+
+
+def _resolve(node, namespace):
+    """The object that a name or dotted attribute denotes in a module's namespace."""
+    if isinstance(node, ast.Attribute):
+        return getattr(_resolve(node.value, namespace), node.attr)
+    return namespace[node.id] if node.id in namespace else getattr(builtins, node.id)
+
+
+def test_no_except_tuple_lists_a_class_and_its_base():
+    # a numerical failure is one class: ConvergenceError is an ArithmeticError,
+    # so a handler that lists both names one of them for nothing
+    assert issubclass(ConvergenceError, ArithmeticError)
+    handlers = 0
+    for module in _modules():
+        for node in ast.walk(ast.parse(pathlib.Path(module.__file__).read_text())):
+            if isinstance(node, ast.ExceptHandler) and isinstance(node.type, ast.Tuple):
+                handlers += 1
+                classes = [_resolve(member, vars(module)) for member in node.type.elts]
+                assert [(a.__name__, b.__name__) for a in classes for b in classes
+                        if a is not b and issubclass(a, b)] == [], (module.__name__, node.lineno)
+    assert handlers >= 3  # the tuples in cli and distributions that this reads
