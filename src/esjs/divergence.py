@@ -50,19 +50,21 @@ def _integrand(pv: np.ndarray, qv: np.ndarray, out: np.ndarray, t: np.ndarray) -
     """1/2 (P log(P/M) + Q log(Q/M)) with M = (P+Q)/2 and 0 log 0 := 0, into ``out``.
 
     ``pv`` and ``qv`` are survival levels, so neither increases and the slots
-    where one is 0 form a suffix, found by one search.  Buffers: ``pv`` is
-    overwritten, ``qv`` is read only, ``t`` is scratch and ``out`` holds the
-    result; all four are float64, equally long and distinct.
+    where one is 0 form a suffix, found by one search of its reversed view.
+    Buffers: ``pv`` is overwritten, ``qv`` is read only, ``t`` is scratch and
+    ``out`` holds the result; all four are float64, equally long and
+    distinct.  The caller ignores numpy's divide and invalid warnings, which
+    the zero suffixes raise before they are overwritten.
     """
     m = np.add(pv, qv, out=out)
     m *= 0.5
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # pv is spent once its term is in t, so q's term goes where pv was
-        for v, term in ((pv, t), (qv, pv)):
-            zero = np.searchsorted(-v, 0.0)  # v is searched before term overwrites it
-            np.log(np.divide(v, m, out=term), out=term)
-            np.multiply(v, term, out=term)
-            term[zero:] = 0.0
+    # pv is spent once its term is in t, so q's term goes where pv was
+    for v, term in ((pv, t), (qv, pv)):
+        # v is searched before term overwrites it; a view, so nothing is copied
+        zero = v.size - np.searchsorted(v[::-1], 0.0, side="right")
+        np.log(np.divide(v, m, out=term), out=term)
+        np.multiply(v, term, out=term)
+        term[zero:] = 0.0
     np.add(t, pv, out=out)
     out *= 0.5
     return out
@@ -75,14 +77,41 @@ def esjs(p: StepSurvival, q: StepSurvival) -> float:
     the units of the observations.  Returns ``inf`` if the last levels differ,
     so that the integrand is nonzero on the unbounded right tail, as when
     ``bounds`` of a binned survival cut a sample so that its tail stays above 0.
+
+    The grid is the union of both breakpoint arrays, made by one merge of the
+    two sorted runs that records which survival each grid point belongs to;
+    each survival's level on a cell is then read off a running count of its
+    own breakpoints, a chunk at a time, so no survival is searched.
     """
     if p.values[-1] != q.values[-1]:
         return math.inf
-    grid = np.union1d(p.breakpoints, q.breakpoints)
+    points = np.concatenate([p.breakpoints, q.breakpoints])
+    order = np.argsort(points, kind="stable")  # two sorted runs: a single merge
+    # a point's sides: bit 0 marks a breakpoint of p, bit 1 one of q
+    sides = np.greater_equal(order, p.breakpoints.size).view(np.uint8)
+    sides += 1
+    points = points[order]
+    del order
+    distinct = np.empty(points.size, dtype=bool)
+    distinct[0] = True
+    np.not_equal(points[1:], points[:-1], out=distinct[1:])
+    # the stable merge puts a point of both p's copy first: it takes both
+    # bits, and the grid drops q's copy
+    sides[:-1][~distinct[1:]] = 3
+    grid, sides = points[distinct], sides[distinct]
+    del points, distinct
+    counts = np.empty(min(grid.size - 1, _CHUNK), dtype=np.intp)
+    levels = (p._levels, q._levels)  # S after as many breakpoints as the index
+    seen = [0, 0]  # breakpoints of p and of q left of the chunk
 
     def fill(lo, hi, pv, qv):
-        np.copyto(pv, p(grid[lo:hi]))
-        np.copyto(qv, q(grid[lo:hi]))
+        run = counts[: hi - lo]
+        # sides & 1 is p's bit and sides >> 1 is q's
+        for side, (bit, v) in enumerate(((np.bitwise_and, pv), (np.right_shift, qv))):
+            bit(sides[lo:hi], 1, out=run)
+            np.cumsum(run, out=run)
+            np.take(levels[side][seen[side] :], run, out=v, mode="clip")
+            seen[side] += int(run[-1])
 
     return _step_sum(grid, fill, _Workspace())
 
@@ -106,18 +135,19 @@ def _step_sum(grid: np.ndarray, fill, ws: _Workspace) -> float:
     # a range past the largest float (in Python floats: numpy warns) takes
     # half-widths, its ends halved before they are subtracted, and a doubled sum
     half = math.isinf(float(grid[n]) - float(grid[0]))
-    for lo in range(0, n, _CHUNK):
-        hi = min(lo + _CHUNK, n)
-        size = hi - lo
-        fill(lo, hi, pv[:size], qv[:size])
-        integrand = _integrand(pv[:size], qv[:size], out[:size], t[:size])
-        # t is free again; grid[hi] is read here, before the next chunk writes it
-        if half:  # fill has read grid[lo:hi], so it may be halved in place
-            widths = np.multiply(grid[lo + 1 : hi + 1], 0.5, out=t[:size])
-            widths -= np.multiply(grid[lo:hi], 0.5, out=grid[lo:hi])
-        else:
-            widths = np.subtract(grid[lo + 1 : hi + 1], grid[lo:hi], out=t[:size])
-        np.multiply(widths, integrand, out=grid[lo:hi])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for lo in range(0, n, _CHUNK):
+            hi = min(lo + _CHUNK, n)
+            size = hi - lo
+            fill(lo, hi, pv[:size], qv[:size])
+            integrand = _integrand(pv[:size], qv[:size], out[:size], t[:size])
+            # t is free again; grid[hi] is read here, before the next chunk writes it
+            if half:  # fill has read grid[lo:hi], so it may be halved in place
+                widths = np.multiply(grid[lo + 1 : hi + 1], 0.5, out=t[:size])
+                widths -= np.multiply(grid[lo:hi], 0.5, out=grid[lo:hi])
+            else:
+                widths = np.subtract(grid[lo + 1 : hi + 1], grid[lo:hi], out=t[:size])
+            np.multiply(widths, integrand, out=grid[lo:hi])
     return float(np.sum(grid[:n])) * (2.0 if half else 1.0) + 0.0
 
 

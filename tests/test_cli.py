@@ -766,6 +766,25 @@ out["after"] = loaded()
 print(json.dumps(out))
 """
 
+# Runs in a fresh interpreter with the collector as argv[1] says: the
+# collector's settings before and after `import esjs`, and the generation of
+# every collection that gc.callbacks sees during the import.
+_IMPORT_GC_SCRIPT = """
+import gc, json, sys
+{"on": gc.enable, "off": gc.disable, "frozen": gc.freeze}[sys.argv[1]]()
+gc.set_threshold(500, 7, 9)
+
+def state():
+    return [gc.isenabled(), list(gc.get_threshold()), gc.get_freeze_count()]
+
+before, collections = state(), []
+gc.callbacks.append(lambda phase, info: phase == "start" and collections.append(info["generation"]))
+import esjs
+gc.callbacks.clear()
+print(json.dumps([before, state(), collections]))
+"""
+
+
 # The only places in src/esjs that import scipy: (module, innermost enclosing function)
 SCIPY_IMPORTERS = {("distributions", "_special"), ("distributions", "_fit_qgaussian")}
 
@@ -811,6 +830,19 @@ class TestStartUp:
         # the fit scipy's gamma functions and L-BFGS-B gave before they loaded lazily
         assert out["qgaussian"] == [3.5747095559318813, 0.9479306350708966]
         assert "scipy.special" in out["after"]
+
+    @pytest.mark.parametrize("collector", ["on", "off", "frozen"])
+    def test_import_collects_nothing_and_leaves_the_collector_as_it_was(self, collector):
+        # an importer that froze objects keeps them frozen, and may see collections
+        proc = subprocess.run(
+            [sys.executable, "-c", _IMPORT_GC_SCRIPT, collector],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": SRC},
+        )
+        assert proc.returncode == 0, proc.stderr
+        before, after, collections = json.loads(proc.stdout)
+        assert after == before
+        assert collections == [] or collector == "frozen"
 
     def test_scipy_is_imported_only_by_the_listed_functions(self):
         package = pathlib.Path(esjs.gof.__file__).parent

@@ -118,8 +118,9 @@ class TestEsjs:
         assert _esjs_of_positions(pooled, p_pos, q_pos, None, _Workspace()) == want
 
     def test_peak_memory_is_the_grid_union(self):
-        # the survivals are evaluated a chunk at a time, so no grid-long level
-        # or index array joins the grid: the peak is np.union1d's transients
+        # the survivals are read a chunk at a time off running counts, so no
+        # grid-long level or index array joins the grid: the peak is the
+        # merge's transients (the joined points, their order, the merged points)
         rng = np.random.default_rng(4)
         p, q = (
             empirical_survival(SortedSample.from_data(rng.gamma(2.0, 2.0, 10**5)))
@@ -177,6 +178,95 @@ class TestStepSum:
         assert grid[n] == grid0[n]
         last = calls[-1][0]
         np.testing.assert_array_equal(ws.array("qv", n - last), qv[last:n])
+
+    def test_a_sized_workspace_leaves_no_chunk_to_allocate(self):
+        # once ws holds the chunk buffers, no chunk makes a chunk-long
+        # temporary: a float64 array of _CHUNK cells alone is 8 * _CHUNK bytes
+        rng = np.random.default_rng(8)
+        p, q = (empirical_survival(random_sample(rng, 30_000, 30_000)) for _ in range(2))
+        grid = np.union1d(p.breakpoints, q.breakpoints)
+        assert grid.size > 2 * _CHUNK
+        pv, qv = p(grid), q(grid)  # both end in zeros, which the integrand searches
+
+        def fill(lo, hi, pv_buf, qv_buf):
+            pv_buf[:], qv_buf[:] = pv[lo:hi], qv[lo:hi]
+
+        ws = _Workspace()
+        want = _step_sum(grid.copy(), fill, ws)
+        again = grid.copy()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            got = _step_sum(again, fill, ws)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert got == want == esjs(p, q)
+        assert peak < 8 * _CHUNK
+
+
+def _union_esjs(p, q):
+    """The divergence summed over ``np.union1d`` of the breakpoints, with the
+    levels that evaluating each survival there gives: the kernel's arithmetic
+    without its merge."""
+    if p.values[-1] != q.values[-1]:
+        return math.inf
+    grid = np.union1d(p.breakpoints, q.breakpoints)
+    return float(np.sum(_cell_products(grid, p(grid), q(grid)))) + 0.0
+
+
+@st.composite
+def step_pairs(draw):
+    """Two step survivals whose breakpoints come from one lattice: shared
+    points, one breakpoint, disjoint ranges, zero tails and unequal last
+    levels all occur."""
+    size = draw(st.integers(1, 40))
+    gaps = draw(st.lists(st.floats(1e-3, 1e3), min_size=size, max_size=size))
+    lattice = np.unique(np.cumsum(gaps) * 10.0 ** draw(st.integers(-100, 100)))
+    layout = draw(st.sampled_from(["shared", "single", "disjoint"]))
+    if layout == "disjoint":
+        cut = draw(st.integers(0, lattice.size))
+        p_points, q_points = lattice[:cut], lattice[cut:] + (lattice[-1] - lattice[0] + 1.0)
+    else:
+        masks = st.lists(st.booleans(), min_size=lattice.size, max_size=lattice.size)
+        p_points, q_points = (lattice[np.array(draw(masks), dtype=bool)] for _ in range(2))
+        if layout == "single":
+            p_points = lattice[draw(st.integers(0, lattice.size - 1))][None]
+    p_points = p_points if p_points.size else lattice[:1]
+    q_points = q_points if q_points.size else lattice[-1:]
+    tail = draw(st.sampled_from([0.0, 0.0, 0.25]))
+    tails = (tail, tail if draw(st.booleans()) else draw(st.sampled_from([0.0, 0.5])))
+
+    def levels(size, tail):
+        drops = draw(st.lists(st.floats(tail, 1.0), min_size=size, max_size=size))
+        values = np.sort(drops)[::-1]
+        values[-1] = tail
+        return values
+
+    return tuple(StepSurvival(points, levels(points.size, t)) for points, t in zip((p_points, q_points), tails))
+
+
+@st.composite
+def binned_pairs(draw):
+    """Two binned survivals on one grid of bins, so that they share edges;
+    bounds inside the samples' range leave a tail above 0."""
+    units = st.lists(st.integers(-50, 50), min_size=1, max_size=60)
+    p, q = (SortedSample.from_data(np.array(draw(units)) / 7.0) for _ in range(2))
+    lo, hi = min(p.min, q.min), max(p.max, q.max)
+    if draw(st.booleans()):
+        hi = lo + (hi - lo) * draw(st.floats(0.3, 1.0))
+    if not lo < hi:
+        hi = lo + 1.0
+    bins = draw(st.integers(1, 200))
+    return km_binned_survival(p, bins, (lo, hi)), km_binned_survival(q, bins, (lo, hi))
+
+
+class TestMerge:
+    @given(st.one_of(step_pairs(), binned_pairs()))
+    def test_merge_is_the_union_with_evaluated_levels_bit_for_bit(self, pair):
+        p, q = pair
+        assert esjs(p, q) == _union_esjs(p, q)
+        assert esjs(q, p) == _union_esjs(q, p)
 
 
 def _samples_on(cells, p_end, binned, seed):
